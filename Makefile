@@ -7,12 +7,14 @@ export PYTHONPATH := src:$(PYTHONPATH)
 test:
 	$(PYTHON) -m pytest -q
 
-# Columnar suite alone: the counter-twin property tests and the
+# Columnar suite alone: the counter-twin property tests, the counter
+# oracle suite they share their reference with, and the
 # engine-equivalence pins.  Run it twice — plain, and again with
 # REPRO_NO_NUMPY=1 — to cover both array backends (CI does exactly
 # that; the numpy-masked run exercises the pure-stdlib fallback).
 test-columnar:
 	$(PYTHON) -m pytest -q tests/core/test_columnar.py \
+		tests/core/test_counter_oracle.py \
 		tests/runtime/test_columnar_engine.py \
 		tests/runtime/test_columnar_drifting_engine.py
 

@@ -9,9 +9,11 @@ The headline benches (``test_bench_counter_update_trie``,
 ``test_bench_lockstep_round_throughput``) measure the engine's
 *default* path: interned histories riding in :class:`FrozenCounters`
 and the aggregate trace mode — what every experiment actually
-executes.  The ``*_tuples`` / ``*_full_trace`` variants keep the
-legacy paths honest (they remain supported and property-tested).
-``benchmarks/capture.py`` records all of them into ``BENCH_micro.json``.
+executes.  The counter ``*_tuples`` / ``*_scan`` variants time the
+tuple oracle (``tests/counter_oracle.py``) on the same workload, the
+reference the speedup is measured against; ``*_full_trace`` keeps the
+checker-grade trace mode honest.  ``benchmarks/capture.py`` records
+all of them into ``BENCH_micro.json``.
 """
 
 import queue
@@ -20,6 +22,7 @@ import socket
 import threading
 import time
 
+import counter_oracle
 from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.es_consensus import ESConsensus
 from repro.core.history import clear_intern_cache, intern_history
@@ -84,11 +87,12 @@ def _counter_workload(depth: int, fanout: int, *, interned: bool = True):
 
 
 def test_bench_counter_update_trie(benchmark):
-    """Default engine path: interned histories, stamped fused update.
+    """The library's round update: interned histories, stamped merge.
 
-    (Historic name: on all-interned inputs no trie is built at all —
-    the stamped walk replaces it.  The actual ``HistoryTrie`` path is
-    what ``test_bench_counter_update_tuples`` measures.)
+    No trie is built — the stamped parent-pointer walk answers the
+    prefix maxima.  The name is kept so the ``BENCH_micro.json`` series
+    stays continuous; the oracle's trie is what
+    ``test_bench_counter_update_tuples`` measures.
     """
     maps, histories = _counter_workload(depth=60, fanout=8)
     result = benchmark(apply_round_update, maps, histories)
@@ -96,19 +100,19 @@ def test_bench_counter_update_trie(benchmark):
 
 
 def test_bench_counter_update_tuples(benchmark):
-    """Legacy tuple-history path (trie-indexed prefix maxima)."""
+    """Tuple oracle: generic minimum, trie-indexed prefix maxima."""
     maps, histories = _counter_workload(depth=60, fanout=8, interned=False)
     result = benchmark(
-        apply_round_update, maps, histories, use_trie=True
+        counter_oracle.apply_round_update, maps, histories, use_trie=True
     )
     assert all(result[h] >= 1 for h in histories)
 
 
 def test_bench_counter_update_scan(benchmark):
-    """Legacy tuple-history path, naive per-entry scans."""
+    """Tuple oracle: generic minimum, naive per-entry prefix scans."""
     maps, histories = _counter_workload(depth=60, fanout=8, interned=False)
     result = benchmark(
-        apply_round_update, maps, histories, use_trie=False
+        counter_oracle.apply_round_update, maps, histories, use_trie=False
     )
     assert all(result[h] >= 1 for h in histories)
 

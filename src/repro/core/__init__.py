@@ -12,11 +12,8 @@
 from repro.core.checkers import ConsensusReport, assert_consensus, check_consensus
 from repro.core.counters import (
     FrozenCounters,
-    HistoryTrie,
     apply_round_update,
     pointwise_min,
-    prefix_max,
-    prefix_max_via_trie,
 )
 from repro.core.es_consensus import ESConsensus
 from repro.core.ess_consensus import ESSConsensus, EssMessage
@@ -30,12 +27,9 @@ from repro.core.history import (
     initial_history,
     intern_cache_size,
     intern_history,
-    interning_disabled,
-    interning_enabled,
     is_prefix,
     is_proper_prefix,
     longest,
-    set_interning,
 )
 from repro.core.interfaces import ConsensusAlgorithm
 from repro.core.pseudo_leader import (
@@ -55,7 +49,6 @@ __all__ = [
     "HeartbeatPseudoLeader",
     "History",
     "HistoryNode",
-    "HistoryTrie",
     "PseudoLeaderElector",
     "apply_round_update",
     "assert_consensus",
@@ -67,13 +60,8 @@ __all__ = [
     "initial_history",
     "intern_cache_size",
     "intern_history",
-    "interning_disabled",
-    "interning_enabled",
     "is_prefix",
     "is_proper_prefix",
     "longest",
-    "set_interning",
     "pointwise_min",
-    "prefix_max",
-    "prefix_max_via_trie",
 ]

@@ -38,9 +38,9 @@ Layers, bottom up:
   :func:`columnar_round_update`, :func:`columnar_prefix_max`) — the
   equivalence surface: same signatures-in-spirit as
   :func:`~repro.core.counters.pointwise_min` /
-  :func:`~repro.core.counters.apply_round_update` /
-  :func:`~repro.core.counters.prefix_max`, property-tested against
-  them on random maps (``tests/core/test_columnar.py``);
+  :func:`~repro.core.counters.apply_round_update` and line 9's prefix
+  maximum, property-tested against them on random maps
+  (``tests/core/test_columnar.py``);
 * :class:`ColumnarElector` — a drop-in for
   :class:`~repro.core.pseudo_leader.PseudoLeaderElector` holding one
   row over a shared index (what ``engine="columnar"`` swaps in when
@@ -370,11 +370,11 @@ def columnar_prefix_max(
     index: Optional[HistoryIndex] = None,
     backend: Optional[str] = None,
 ) -> int:
-    """Row twin of :func:`~repro.core.counters.prefix_max`.
+    """Row twin of line 9's ``max{C[H] : H prefix of history}``.
 
     Interning adds a column for *every* prefix of every key, so the
     ancestor chain of ``history``'s column enumerates exactly the
-    candidate prefixes the object-path scan would test.
+    candidate prefixes a scan of the map would test.
     """
     index = index if index is not None else HistoryIndex()
     backend = _resolve_backend(backend)
@@ -501,7 +501,6 @@ class ColumnarElector:
         *,
         index: Optional[HistoryIndex] = None,
         backend: Optional[str] = None,
-        use_trie: bool = True,  # signature parity; rows need no trie
         inherit_prefixes: bool = True,
     ) -> None:
         self.history: History = initial_history(initial_value)

@@ -18,39 +18,38 @@ it each round:
   anonymity makes meaningless anyway — cannot matter.
 
 :class:`FrozenCounters` is the immutable, hashable form that rides
-inside messages; :class:`HistoryTrie` is an index for prefix-maximum
-queries that turns the per-message bump from ``O(|C| · len)`` into
-``O(len)`` (they are tested against each other).  Three fast paths keep
-the round update cheap at scale (PERFORMANCE.md):
+inside messages.  Both lines run as one *stamped merge* over interned
+:class:`~repro.core.history.HistoryNode` keys: one version-stamped pass
+per map leaves each key's running minimum on the node itself, and the
+line-9 prefix maxima walk parent pointers reading those stamps — the
+interned tree is the prefix index, and no key is hashed until the
+result dict is built.  Input in any other form (tuple keys or
+histories, plain dicts, nodes predating
+:func:`~repro.core.history.clear_intern_cache`) is re-interned once on
+the way in, then takes the same merge.
 
-* an empty post-minimum map short-circuits the bump to ``C[H] := 1``;
-* interned :class:`~repro.core.history.HistoryNode` histories answer
-  prefix maxima by walking parent pointers — no index at all;
-* a caller-owned trie (see
-  :meth:`~repro.core.pseudo_leader.PseudoLeaderElector`) is refilled in
-  place per round, reusing its node allocations via version stamping.
-
-**Concurrency note:** the stamped fast paths annotate shared interned
+**Concurrency note:** the stamped merge annotates shared interned
 nodes through a module-global stamp, so concurrent counter merges from
 multiple *threads* can clobber each other's in-flight annotations.
-The library's parallelism unit is the process (see
+The library's unit of parallelism is the process (see
 :func:`repro.experiments.common.run_cells`), where every worker owns
-its interpreter; keep it that way, or confine threads to tuple
-histories (the generic paths are pure).
+its interpreter and its intern table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from repro.core.history import History, HistoryNode, intern_generation, is_prefix
+from repro.core.history import (
+    History,
+    HistoryNode,
+    intern_generation,
+    intern_history,
+)
 
 __all__ = [
     "FrozenCounters",
-    "HistoryTrie",
     "pointwise_min",
-    "prefix_max",
-    "prefix_max_via_trie",
     "apply_round_update",
 ]
 
@@ -103,7 +102,7 @@ class FrozenCounters(Mapping[History, int]):
     def _node_generation(self) -> int:
         """Common intern generation of the keys, or ``-1``.
 
-        ``-1`` means "not eligible for identity-based fast paths": a
+        ``-1`` means "not canonical, re-intern before merging": a
         non-node key, or keys from different intern generations (nodes
         that survived :func:`~repro.core.history.clear_intern_cache`
         may have equal-content doppelgängers, so only a single-current-
@@ -208,36 +207,89 @@ def pointwise_min(counter_maps: Sequence[Mapping[History, int]]) -> Dict[History
     """Line 8: ``∀H, C[H] := min_m m.C[H]`` with sparse default-0 reads.
 
     The support of the result is the intersection of the supports (a
-    history missing anywhere mins to 0 and is dropped).  Iteration is
-    driven by the smallest support — minima are commutative, so the
-    result cannot depend on the choice, and the intersection can never
-    be larger than its smallest operand.
+    history missing anywhere mins to 0 and is dropped).
     """
-    if not counter_maps:
-        return {}
-    if _identity_mergeable(counter_maps):
-        return _stamped_merge(
-            [counters._entries for counters in counter_maps]
-        )[0]
-    # Generic path: tuple histories or plain dicts.
-    plain = [
-        counters._entries if isinstance(counters, FrozenCounters) else counters
+    return _stamped_merge(_canonical_maps(counter_maps, intern_generation()))[0]
+
+
+def apply_round_update(
+    counter_maps: Sequence[Mapping[History, int]],
+    received_histories: Iterable[History],
+    *,
+    inherit_prefixes: bool = True,
+) -> Dict[History, int]:
+    """Lines 8 and 9 in one step.
+
+    Args:
+        counter_maps: the ``m.C`` of every message received this round.
+        received_histories: the ``m.HISTORY`` of every received message.
+        inherit_prefixes: the paper's line 9.  ``False`` is the
+            ablation A1 variant: bump only the exact history key, so a
+            history that grew since last round restarts from zero —
+            every counter stays at 1 and leadership degenerates to
+            "everybody, always".
+
+    Returns the process's new counter map.
+    """
+    generation = intern_generation()
+    maps = _canonical_maps(counter_maps, generation)
+    histories = [
+        _canonical_history(history, generation)
+        for history in dict.fromkeys(received_histories)
+    ]
+    merged, stamp, needed = _stamped_merge(maps)
+    if not inherit_prefixes:
+        for history in histories:
+            merged[history] = 1 + merged.get(history, 0)
+        return merged
+    # The stamped minimum left each key's minimum and presence count on
+    # its node; the prefix walks read those same stamps.  Bumps are
+    # written into the result dict only — node annotations keep their
+    # post-minimum values — which realizes the paper's simultaneous
+    # batch assignment for free.
+    for history in histories:
+        best = 0
+        node = history
+        while node is not None:
+            # Includes the length-0 root: an empty-history entry is a
+            # prefix of everything.
+            if node._stamp == stamp and node._seen == needed:
+                count = node._count
+                if count > best:
+                    best = count
+            node = node.parent
+        merged[history] = 1 + best
+    return merged
+
+
+def _canonical_history(history: History, generation: int) -> HistoryNode:
+    """``history`` as a node of the current intern generation."""
+    if type(history) is HistoryNode and history._gen == generation:
+        return history
+    return intern_history(history)
+
+
+def _canonical_maps(
+    counter_maps: Sequence[Mapping[History, int]], generation: int
+) -> List[Dict[HistoryNode, int]]:
+    """Every map as a dict keyed by current-generation interned nodes.
+
+    Frozen maps already in that form pass through as their own entry
+    dicts, uncopied — every map the electors exchange.  Anything else
+    (tuple keys, plain dicts, nodes that survived a
+    ``clear_intern_cache()`` and may have equal-content doppelgängers
+    in the new table) is re-interned into a fresh dict.
+    """
+    return [
+        counters._entries
+        if isinstance(counters, FrozenCounters)
+        and counters._node_generation() == generation
+        else {
+            _canonical_history(history, generation): count
+            for history, count in counters.items()
+        }
         for counters in counter_maps
     ]
-    base = _smallest(plain)
-    others = [counters for counters in plain if counters is not base]
-    result: Dict[History, int] = {}
-    for history, count in base.items():
-        minimum = count
-        for other in others:
-            other_count = other.get(history, 0)
-            if other_count < minimum:
-                minimum = other_count
-                if minimum == 0:
-                    break
-        if minimum > 0:
-            result[history] = minimum
-    return result
 
 
 def _smallest(maps: Sequence) -> Mapping:
@@ -254,24 +306,13 @@ def _smallest(maps: Sequence) -> Mapping:
     return base
 
 
-def _identity_mergeable(counter_maps: Sequence[Mapping[History, int]]) -> bool:
-    """Whether every map may be merged by node *identity*.
-
-    Requires frozen maps whose keys are all interned nodes of the
-    *current* generation — nodes predating a ``clear_intern_cache()``
-    may have equal-content doppelgängers in the new table, which
-    identity matching would wrongly treat as distinct keys.
-    """
-    generation = intern_generation()
-    return all(
-        isinstance(counters, FrozenCounters)
-        and counters._node_generation() == generation
-        for counters in counter_maps
-    )
+#: Monotone stamp distinguishing one merge's node annotations from
+#: every earlier one (see :func:`_stamped_merge`).
+_STAMP = 0
 
 
-def _stamped_merge(maps: Sequence[Dict["HistoryNode", int]]):
-    """Pointwise minimum over all-interned maps without hashing a key.
+def _stamped_merge(maps: Sequence[Dict[HistoryNode, int]]):
+    """Pointwise minimum over canonical maps without hashing a key.
 
     One stamped pass per map accumulates, directly on the nodes, the
     running minimum and the number of maps each key appeared in; keys
@@ -282,17 +323,19 @@ def _stamped_merge(maps: Sequence[Dict["HistoryNode", int]]):
     Returns ``(merged, stamp, needed)`` so callers can keep reading the
     post-minimum annotations: a node was in the intersection iff
     ``node._stamp == stamp and node._seen == needed``, with its minimum
-    in ``node._count``.
+    in ``node._count``.  Stale stamps from earlier merges never match,
+    so nothing is cleared between rounds.
     """
-    unique: list = []
-    for entries in maps:
-        if not any(entries is seen for seen in unique):
-            unique.append(entries)
-    base = _smallest(unique)
-    others = [entries for entries in unique if entries is not base]
+    # Identity-keyed and insertion-ordered: first-seen order decides
+    # the base map and hence the result's key order.
+    unique = list({id(entries): entries for entries in maps}.values())
     global _STAMP
     _STAMP += 1
     stamp = _STAMP
+    if not unique:
+        return {}, stamp, 1
+    base = _smallest(unique)
+    others = [entries for entries in unique if entries is not base]
     for node, count in base.items():
         node._stamp = stamp
         node._count = count
@@ -310,213 +353,3 @@ def _stamped_merge(maps: Sequence[Dict["HistoryNode", int]]):
         if node._seen == needed and node._count > 0
     }
     return merged, stamp, needed
-
-
-def _fast_round_update(
-    maps: Sequence[Dict["HistoryNode", int]],
-    histories: Sequence["HistoryNode"],
-) -> Dict[History, int]:
-    """Lines 8 + 9 fused for the all-interned case, hashing no key twice.
-
-    The stamped minimum leaves the per-key running minimum and presence
-    count on the nodes; the prefix walks read those same stamps, so the
-    prefix maxima need neither a trie nor a single dict probe.  Bumps
-    are written into the result dict only — node annotations keep their
-    post-minimum values — which realizes the paper's simultaneous batch
-    assignment for free.
-    """
-    merged, stamp, needed = _stamped_merge(maps)
-    for history in histories:
-        best = 0
-        node = history
-        while node is not None:
-            # Includes the length-0 root: an empty-history entry (if a
-            # caller ever constructs one) is a prefix of everything.
-            if node._stamp == stamp and node._seen == needed:
-                count = node._count
-                if count > best:
-                    best = count
-            node = node.parent
-        merged[history] = 1 + best
-    return merged
-
-
-def prefix_max(counters: Mapping[History, int], history: History) -> int:
-    """``max{C[H] : H prefix of history}`` (0 when no prefix is present)."""
-    best = 0
-    for candidate, count in counters.items():
-        if count > best and is_prefix(candidate, history):
-            best = count
-    return best
-
-
-def _prefix_max_ancestors(counters: Mapping[History, int], history: HistoryNode) -> int:
-    """Prefix maximum for an interned history: walk its parent chain.
-
-    Every prefix of an interned node is one of its ancestors, and node
-    hashes are cached, so each step is one O(1) dict probe — no index
-    construction at all.  (Tuple keys in ``counters`` are still found:
-    nodes hash and compare equal to their element tuples.)
-    """
-    best = 0
-    node = history
-    while node is not None:
-        # Includes the length-0 root: the empty history is a prefix of
-        # everything, exactly as the scan and trie paths treat it.
-        count = counters.get(node, 0)
-        if count > best:
-            best = count
-        node = node.parent
-    return best
-
-
-#: Monotone stamp distinguishing one round-update's node annotations
-#: from every earlier one (see :func:`_pointwise_min_stamped` and
-#: :func:`_fast_round_update`).
-_STAMP = 0
-
-
-class HistoryTrie:
-    """Prefix index over a counter map for fast prefix-maximum queries.
-
-    Each query walks the history once instead of scanning every entry.
-    The trie can be built once from a map (the seed behaviour) or owned
-    by an elector and *refilled in place* every round: nodes are
-    version-stamped rather than deallocated, so the per-round rebuild
-    reuses the allocation of every previously-seen path — histories
-    only grow, so path reuse is near-total.
-    """
-
-    __slots__ = ("_root", "_version")
-
-    class _Node:
-        __slots__ = ("count", "version", "children")
-
-        def __init__(self):
-            self.count = 0
-            self.version = 0
-            self.children: Dict[Hashable, "HistoryTrie._Node"] = {}
-
-    def __init__(self, counters: Optional[Mapping[History, int]] = None):
-        self._root = HistoryTrie._Node()
-        self._version = 0
-        if counters:
-            for history, count in counters.items():
-                self.insert(history, count)
-
-    def insert(self, history: History, count: int) -> None:
-        version = self._version
-        node = self._root
-        for element in history:
-            node = node.children.setdefault(element, HistoryTrie._Node())
-        node.count = count
-        node.version = version
-
-    def refill(self, counters: Mapping[History, int]) -> None:
-        """Reset to exactly ``counters`` without discarding trie nodes.
-
-        Bumping the version makes every stale count read as 0; the
-        inserts restamp the live entries.  O(total length of the new
-        support), with no allocation along previously-seen paths.
-        """
-        self._version += 1
-        for history, count in counters.items():
-            self.insert(history, count)
-
-    def prefix_max(self, history: History) -> int:
-        """Maximum count over all stored prefixes of ``history``."""
-        version = self._version
-        root = self._root
-        best = root.count if root.version == version else 0
-        node = root
-        for element in history:
-            child = node.children.get(element)
-            if child is None:
-                return best
-            if child.version == version and child.count > best:
-                best = child.count
-            node = child
-        return best
-
-
-def prefix_max_via_trie(counters: Mapping[History, int], histories: Iterable[History]) -> Dict[History, int]:
-    """Batch prefix-maximum via one trie build (equivalent to per-entry scans)."""
-    trie = HistoryTrie(counters)
-    return {history: trie.prefix_max(history) for history in histories}
-
-
-def apply_round_update(
-    counter_maps: Sequence[Mapping[History, int]],
-    received_histories: Iterable[History],
-    *,
-    use_trie: bool = True,
-    inherit_prefixes: bool = True,
-    trie: Optional[HistoryTrie] = None,
-) -> Dict[History, int]:
-    """Lines 8 and 9 in one step.
-
-    Args:
-        counter_maps: the ``m.C`` of every message received this round.
-        received_histories: the ``m.HISTORY`` of every received message.
-        use_trie: query prefix maxima through a :class:`HistoryTrie`
-            (semantically identical to the naive scan; property tests
-            enforce the equivalence).  Interned histories skip the trie
-            and walk their parent chain instead — same answers, no
-            index build.
-        inherit_prefixes: the paper's line 9.  ``False`` is the
-            ablation A1 variant: bump only the exact history key, so a
-            history that grew since last round restarts from zero —
-            every counter stays at 1 and leadership degenerates to
-            "everybody, always".
-        trie: an optional caller-owned trie, refilled in place from the
-            post-minimum map — the persistent-index path electors use
-            to avoid re-allocating the index every round.
-
-    Returns the process's new counter map.
-    """
-    histories = list(dict.fromkeys(received_histories))
-    generation = intern_generation()
-    if (
-        inherit_prefixes
-        and counter_maps
-        and all(
-            type(h) is HistoryNode and h._gen == generation for h in histories
-        )
-        and _identity_mergeable(counter_maps)
-    ):
-        # All-interned fast path: minimum + prefix maxima + bumps in
-        # one stamped pass, no trie and no per-key hashing.
-        return _fast_round_update(
-            [counters._entries for counters in counter_maps], histories
-        )
-    merged = pointwise_min(counter_maps)
-    if not inherit_prefixes:
-        for history in histories:
-            merged[history] = 1 + merged.get(history, 0)
-        return merged
-    if not merged:
-        # Empty post-minimum support: every prefix maximum is 0.
-        for history in histories:
-            merged[history] = 1
-        return merged
-    node_histories = [h for h in histories if isinstance(h, HistoryNode)]
-    slow_histories = [h for h in histories if not isinstance(h, HistoryNode)]
-    maxima: Dict[History, int] = {
-        history: _prefix_max_ancestors(merged, history)
-        for history in node_histories
-    }
-    if slow_histories:
-        if use_trie:
-            if trie is not None:
-                trie.refill(merged)
-                for history in slow_histories:
-                    maxima[history] = trie.prefix_max(history)
-            else:
-                maxima.update(prefix_max_via_trie(merged, slow_histories))
-        else:
-            for history in slow_histories:
-                maxima[history] = prefix_max(merged, history)
-    # Simultaneous batch assignment: all bumps read the post-minimum map.
-    for history in histories:
-        merged[history] = 1 + maxima[history]
-    return merged

@@ -7,26 +7,18 @@ append different values in the same round have diverged forever —
 histories only grow, so equal histories mean behaviourally identical
 processes so far.
 
-Two representations coexist behind one API:
-
-* plain tuples — the seed representation: hashable, obvious, and still
-  accepted everywhere (tests and user code may keep using them);
-* :class:`HistoryNode` — a hash-consed parent-pointer node.  ``extend``
-  is O(1) allocation, node-to-node equality is identity (interning
-  guarantees one node per distinct history), and prefix queries walk
-  parent pointers instead of slicing.  Nodes hash and compare equal to
-  the tuple of their elements, so dictionaries, frozensets, and
-  serialized traces interoperate freely between the two forms.
-
-:func:`initial_history` returns an interned node by default (the fast
-path); :func:`set_interning` / :func:`interning_disabled` restore the
-tuple behaviour, which the equivalence tests use to pin the two
-representations against each other.
+Every history the library creates is a :class:`HistoryNode` — a
+hash-consed parent-pointer node.  ``extend`` is O(1) allocation,
+node-to-node equality is identity (interning guarantees one node per
+distinct history), and prefix queries walk parent pointers instead of
+slicing.  Nodes hash and compare equal to the tuple of their elements,
+so tuple-keyed dictionaries, frozensets, and serialized traces
+interoperate with them freely; a tuple handed to :func:`extend` is
+interned on the way in.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Hashable, Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = [
@@ -35,9 +27,6 @@ __all__ = [
     "initial_history",
     "extend",
     "intern_history",
-    "interning_enabled",
-    "set_interning",
-    "interning_disabled",
     "clear_intern_cache",
     "intern_cache_size",
     "intern_generation",
@@ -91,8 +80,8 @@ class HistoryNode:
         # Intern generation, inherited along the chain: nodes outliving
         # clear_intern_cache() — and any later extensions of their
         # detached chains — keep hashing/comparing correctly but lose
-        # the one-node-per-history identity guarantee, so identity-based
-        # fast paths must reject them (see repro.core.counters).
+        # the one-node-per-history identity guarantee, so the counter
+        # merge re-interns them first (see repro.core.counters).
         self._gen: int = _GENERATION if parent is None else parent._gen
 
     # -- construction ---------------------------------------------------
@@ -241,31 +230,6 @@ def intern_generation() -> int:
 
 History = Union[Tuple[Hashable, ...], HistoryNode]
 
-_INTERNING = True
-
-
-def interning_enabled() -> bool:
-    """Whether new histories are interned nodes (True) or tuples."""
-    return _INTERNING
-
-
-def set_interning(enabled: bool) -> None:
-    """Select the representation :func:`initial_history` produces."""
-    global _INTERNING
-    _INTERNING = bool(enabled)
-
-
-@contextmanager
-def interning_disabled():
-    """Context manager: tuple histories inside, previous mode after."""
-    previous = _INTERNING
-    set_interning(False)
-    try:
-        yield
-    finally:
-        set_interning(previous)
-
-
 #: Callbacks invoked by :func:`clear_intern_cache` *after* the bump —
 #: caches keyed by node identity (e.g. the warm ``HistoryIndex`` in
 #: :mod:`repro.runtime.columnar_engine`) register here so a clear
@@ -292,8 +256,8 @@ def clear_intern_cache() -> None:
     this between runs (the experiment cell runner does it per cell).
     Nodes created before the clear keep hashing and comparing correctly
     (including against re-interned equals), but they are no longer
-    canonical: the generation bump makes the counter fast paths fall
-    back to hash-based merging for any state that survives the clear.
+    canonical: the generation bump makes the counter merge re-intern
+    any state that survives the clear before merging it.
     Hooks registered via :func:`register_clear_hook` run afterwards so
     node-identity caches drop in the same step.
     """
@@ -327,28 +291,26 @@ def intern_cache_size() -> int:
 
 
 def intern_history(elements: Iterable[Hashable]) -> HistoryNode:
-    """The interned node for an element sequence (the pickle path)."""
+    """The interned node for an element sequence (tuples, pickles)."""
     node = _ROOT
     for value in elements:
         node = node.child(value)
     return node
 
 
-def initial_history(value: Hashable) -> History:
+def initial_history(value: Hashable) -> HistoryNode:
     """The paper's initialization ``HISTORY := VAL`` (a length-1 list)."""
-    if _INTERNING:
-        return _ROOT.child(value)
-    return (value,)
+    return _ROOT.child(value)
 
 
-def extend(history: History, value: Hashable) -> History:
+def extend(history: History, value: Hashable) -> HistoryNode:
     """The paper's ``append VAL to HISTORY`` (Algorithm 3 line 21).
 
-    O(1) for interned nodes; a fresh tuple for tuple histories.
+    O(1) for interned nodes; a tuple is interned first.
     """
-    if isinstance(history, HistoryNode):
-        return history.child(value)
-    return history + (value,)
+    if not isinstance(history, HistoryNode):
+        history = intern_history(history)
+    return history.child(value)
 
 
 def is_prefix(candidate: History, history: History) -> bool:

@@ -1,10 +1,12 @@
 """Columnar counter twins pinned against the dict-based reference.
 
 Every public piece of :mod:`repro.core.columnar` has a dict-based twin
-in :mod:`repro.core.counters` / :mod:`repro.core.pseudo_leader`; these
-tests pin them equal on random inputs, on both backends.  Tuple and
-interned-node histories hash and compare interchangeably, so the
-assertions compare dicts directly across representations.
+in :mod:`repro.core.counters` / :mod:`repro.core.pseudo_leader` (the
+line-8 minimum and the line-9 prefix maximum are taken from the tuple
+oracle, ``counter_oracle``); these tests pin them equal on random
+inputs, on both backends.  Tuple and interned-node histories hash and
+compare interchangeably, so the assertions compare dicts directly
+across representations.
 """
 
 import pytest
@@ -22,12 +24,8 @@ from repro.core.columnar import (
     default_backend,
     numpy_available,
 )
-from repro.core.counters import (
-    FrozenCounters,
-    apply_round_update,
-    pointwise_min,
-    prefix_max,
-)
+from counter_oracle import pointwise_min, prefix_max
+from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.history import (
     clear_intern_cache,
     intern_cache_size,
@@ -121,8 +119,7 @@ class TestRoundUpdateTwin:
         received=st.lists(history_st, min_size=1, max_size=4),
     )
     def test_matches_interned_fast_path(self, backend, maps, received):
-        """Same result whether the reference takes its interned fast
-        path (node inputs) or the generic dict path (tuple inputs)."""
+        """Tuple inputs to the twin match node inputs to the reference."""
         node_maps = [
             {intern_history(history): count for history, count in mapping.items()}
             for mapping in maps

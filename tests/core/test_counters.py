@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.counters import (
-    FrozenCounters,
-    HistoryTrie,
-    apply_round_update,
-    pointwise_min,
-    prefix_max,
-    prefix_max_via_trie,
-)
+from repro.core.counters import FrozenCounters, apply_round_update, pointwise_min
 
 history_st = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
 counter_map_st = st.dictionaries(history_st, st.integers(1, 20), max_size=6)
@@ -80,28 +73,6 @@ class TestPointwiseMin:
         assert pointwise_min(maps) == pointwise_min(list(reversed(maps)))
 
 
-class TestPrefixMax:
-    def test_includes_exact_history(self):
-        assert prefix_max({(1, 2): 5}, (1, 2)) == 5
-
-    def test_includes_proper_prefixes(self):
-        counters = {(1,): 3, (1, 2): 1, (9,): 100}
-        assert prefix_max(counters, (1, 2, 3)) == 3
-
-    def test_no_prefix_gives_zero(self):
-        assert prefix_max({(2,): 9}, (1,)) == 0
-
-    @given(counter_map_st, history_st)
-    def test_trie_equivalent_to_scan(self, counters, history):
-        trie = HistoryTrie(counters)
-        assert trie.prefix_max(history) == prefix_max(counters, history)
-
-    @given(counter_map_st, st.lists(history_st, max_size=5))
-    def test_batch_trie_equivalent(self, counters, histories):
-        batch = prefix_max_via_trie(counters, histories)
-        assert batch == {h: prefix_max(counters, h) for h in histories}
-
-
 class TestApplyRoundUpdate:
     def test_lemma4_ratchet(self):
         """The counter of a history heard every round grows by 1/round."""
@@ -134,15 +105,6 @@ class TestApplyRoundUpdate:
             )
             assert counters[history] == 1
             history = history + (3,)
-
-    @given(
-        st.lists(counter_map_st, min_size=1, max_size=3),
-        st.lists(history_st, min_size=1, max_size=4),
-    )
-    def test_trie_and_scan_agree(self, maps, received):
-        with_trie = apply_round_update(maps, received, use_trie=True)
-        without = apply_round_update(maps, received, use_trie=False)
-        assert with_trie == without
 
     @given(
         st.lists(counter_map_st, min_size=1, max_size=3),

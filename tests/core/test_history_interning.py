@@ -1,11 +1,13 @@
 """Interned histories must be indistinguishable from tuple histories.
 
-The fast-path engine swaps plain tuples for hash-consed
-:class:`~repro.core.history.HistoryNode` chains.  Everything
+Every history the library creates is a hash-consed
+:class:`~repro.core.history.HistoryNode` chain, but tuples still arrive
+from callers, tuple-keyed dicts and deserialized traces.  Everything
 downstream — counter maps, frozen messages, serialized traces — relies
-on the two representations agreeing exactly: same protocol answers,
-same hashes, same equality, same structural sizes.  These properties
-pin that contract.
+on the two forms agreeing exactly: same protocol answers, same hashes,
+same equality, same structural sizes.  These properties pin that
+contract (the counter update itself is pinned against the tuple oracle
+in ``test_counter_oracle.py``).
 """
 
 import pickle
@@ -22,8 +24,6 @@ from repro.core.history import (
     extend,
     initial_history,
     intern_history,
-    interning_disabled,
-    interning_enabled,
     is_prefix,
     is_proper_prefix,
     longest,
@@ -34,16 +34,14 @@ elements = st.lists(st.integers(0, 5), min_size=1, max_size=10)
 
 
 class TestInterning:
-    def test_initial_history_is_interned_by_default(self):
-        assert interning_enabled()
-        assert isinstance(initial_history(7), HistoryNode)
+    def test_initial_history_is_interned(self):
+        assert initial_history(7) is intern_history([7])
 
-    def test_interning_disabled_restores_tuples(self):
-        with interning_disabled():
-            assert not interning_enabled()
-            assert initial_history(7) == (7,)
-            assert isinstance(initial_history(7), tuple)
-        assert interning_enabled()
+    @given(elements, st.integers(0, 5))
+    def test_extend_interns_tuples(self, values, value):
+        extended = extend(tuple(values), value)
+        assert extended is intern_history(values + [value])
+        assert extended == tuple(values) + (value,)
 
     @given(elements)
     def test_same_elements_intern_to_same_object(self, values):
@@ -137,8 +135,8 @@ class TestClearInternCache:
     """State surviving a cache clear must still merge correctly.
 
     Pre-clear nodes may have equal-content doppelgängers in the new
-    table; the generation bump forces the counter paths back to
-    hash-based merging for them.
+    table; the generation bump makes the counter merge re-intern them
+    first.
     """
 
     def test_pointwise_min_across_a_clear(self):
@@ -173,75 +171,3 @@ class TestClearInternCache:
             (4, 4): 2,
             (4, 4, 9): 3,
         }
-
-
-counter_entries = st.dictionaries(
-    st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
-    st.integers(1, 9),
-    max_size=8,
-)
-
-
-class TestRoundUpdateParity:
-    """apply_round_update: the interned fast path ≡ the tuple path."""
-
-    @given(st.lists(counter_entries, min_size=1, max_size=4), st.lists(elements, min_size=1, max_size=4))
-    def test_fast_path_matches_tuple_path(self, maps, histories):
-        tuple_result = apply_round_update(
-            [FrozenCounters(m) for m in maps],
-            [tuple(h) for h in histories],
-        )
-        node_result = apply_round_update(
-            [
-                FrozenCounters({intern_history(h): c for h, c in m.items()})
-                for m in maps
-            ],
-            [intern_history(h) for h in histories],
-        )
-        assert node_result == tuple_result
-
-    @given(st.lists(counter_entries, min_size=1, max_size=4), st.lists(elements, min_size=1, max_size=4))
-    def test_mixed_maps_match_tuple_path(self, maps, histories):
-        # Node histories over tuple-keyed maps exercise the ancestor
-        # walk against hash-parity dict lookups.
-        tuple_result = apply_round_update(
-            [FrozenCounters(m) for m in maps],
-            [tuple(h) for h in histories],
-        )
-        mixed_result = apply_round_update(
-            [FrozenCounters(m) for m in maps],
-            [intern_history(h) for h in histories],
-        )
-        assert mixed_result == tuple_result
-
-    def test_empty_history_key_inherits_like_tuple_path(self):
-        # The empty history is a prefix of everything; hypothesis's
-        # min_size=1 histories never generate it, so pin it explicitly.
-        tuple_result = apply_round_update(
-            [FrozenCounters({(): 5})], [(1,)], use_trie=False
-        )
-        node_result = apply_round_update(
-            [FrozenCounters({intern_history([]): 5})], [intern_history([1])]
-        )
-        assert tuple_result == node_result == {(): 5, (1,): 6}
-
-    @given(st.lists(counter_entries, min_size=1, max_size=4), st.lists(elements, min_size=1, max_size=4))
-    def test_frozen_counters_equal_across_representations(self, maps, histories):
-        tuple_result = FrozenCounters(
-            apply_round_update(
-                [FrozenCounters(m) for m in maps], [tuple(h) for h in histories]
-            )
-        )
-        node_result = FrozenCounters(
-            apply_round_update(
-                [
-                    FrozenCounters({intern_history(h): c for h, c in m.items()})
-                    for m in maps
-                ],
-                [intern_history(h) for h in histories],
-            )
-        )
-        assert node_result == tuple_result
-        assert hash(node_result) == hash(tuple_result)
-        assert node_result.payload_atoms() == tuple_result.payload_atoms()
-        assert payload_size(node_result) == payload_size(tuple_result)

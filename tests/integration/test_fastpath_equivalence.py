@@ -3,8 +3,10 @@
 Three claims, each pinned against the reference path:
 
 * **interned histories** — a consensus/leader-election run produces
-  byte-identical tables whether histories are hash-consed nodes (the
-  default) or plain tuples (``interning_disabled()``);
+  byte-identical tables whether the electors run the library's stamped
+  merge over hash-consed nodes or the tuple oracle
+  (``counter_oracle.OracleElector``: plain tuple histories, generic
+  minimum, trie prefix maxima);
 * **aggregate traces** — ``trace_mode="aggregate"`` reports the same
   sends, deliveries, decisions, and payload statistics as the full
   per-event trace;
@@ -12,8 +14,9 @@ Three claims, each pinned against the reference path:
   run.
 """
 
+from counter_oracle import OracleElector
+from repro.core import ess_consensus, pseudo_leader
 from repro.core.ess_consensus import ESSConsensus
-from repro.core.history import interning_disabled
 from repro.experiments.common import run_cells, sample_consensus
 from repro.experiments.consensus_tables import run_f1
 from repro.experiments.state_growth import run_t3
@@ -47,11 +50,26 @@ def _ess_sample(trace_mode: str = "full"):
     )
 
 
+def _on_oracle_electors(monkeypatch, run):
+    """``run()`` with every elector swapped for the tuple oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pseudo_leader, "PseudoLeaderElector", OracleElector)
+        patch.setattr(ess_consensus, "PseudoLeaderElector", OracleElector)
+        return run()
+
+
 class TestInternedHistoriesChangeNothing:
-    def test_ess_consensus_run_identical(self):
-        interned = run_ess_consensus([5, 2, 8, 1], stabilization_round=4, seed=9)
-        with interning_disabled():
-            tuples = run_ess_consensus([5, 2, 8, 1], stabilization_round=4, seed=9)
+    def test_ess_consensus_run_identical(self, monkeypatch):
+        def run():
+            return run_ess_consensus([5, 2, 8, 1], stabilization_round=4, seed=9)
+
+        interned = run()
+        tuples = _on_oracle_electors(monkeypatch, run)
+        # the pin is not vacuous: the two runs carry different forms
+        (oracle_message,) = tuples.trace.sends[0].payload
+        (interned_message,) = interned.trace.sends[0].payload
+        assert type(oracle_message.history) is tuple
+        assert type(interned_message.history) is not tuple
         assert interned.metrics == tuples.metrics
         assert sorted(
             (d.pid, d.value, d.round_no) for d in interned.trace.decisions
@@ -63,10 +81,11 @@ class TestInternedHistoriesChangeNothing:
             assert (a.pid, a.round_no, a.time) == (b.pid, b.round_no, b.time)
             assert a.payload == b.payload
 
-    def test_t3_table_byte_identical(self):
+    def test_t3_table_byte_identical(self, monkeypatch):
         interned = run_t3(quick=True, seed=0).render()
-        with interning_disabled():
-            tupled = run_t3(quick=True, seed=0).render()
+        tupled = _on_oracle_electors(
+            monkeypatch, lambda: run_t3(quick=True, seed=0).render()
+        )
         assert interned == tupled
 
 
