@@ -47,11 +47,11 @@ coverage:
 bench:
 	$(PYTHON) benchmarks/capture.py
 
-# Just the shard-execution benches: the churn quick shape on the
-# serial / multiprocess / socket backends plus the overlapped vs
-# lock-step harvest pair.  See PERFORMANCE.md §5.
+# Just the shard-execution benches: the churn quick shape on every
+# backend, the steady-state harvest over 4 pipe workers, and the
+# join-rebalance vs fresh-build pair.  See PERFORMANCE.md §5 and §10.
 bench-shard:
-	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest"
+	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest or rebalance"
 
 # Perf smoke: check the recorded key speedups in BENCH_micro.json
 # against tolerant floors (same-run ratios only; --strict adds the

@@ -106,6 +106,13 @@ SAME_RUN_FLOORS = [
         "loop at n=100 — the switch should never lose at small n",
     ),
     (
+        "short_run_columnar_vs_object_n1200",
+        1.0,
+        "a warmed 2-round columnar drifting run at n=1,200 no longer "
+        "beats the object loop (fixed setup/finalize costs — the warm "
+        "history index or the lazy finalize views — regressed)",
+    ),
+    (
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "

@@ -165,8 +165,9 @@ def run_c2(
             "backends replay the exact serial shard worlds (SHA-512-seeded "
             "streams are process-independent), whatever the frame codec, "
             "round batching, in-flight window, or world multiplexing",
-            "pairs = request/reply frame pairs exchanged with shard "
-            "workers (0 for serial: no wire); batching divides it, "
+            "pairs = request/reply pairs exchanged with the shard worlds "
+            "(serial counts its codec-free in-process channels the same "
+            "way); batching divides it, "
             "wpw>1 multiplexes worlds onto shared frames, win>1 adds a "
             "few speculative batches past the stream's end",
             "wall-s is this machine's cost of the worker processes and "

@@ -396,12 +396,6 @@ class DriftingScheduler:
     ``SendEvent``/``DeliveryEvent`` objects, identical metrics
     (equivalence-tested in ``tests/runtime``).
 
-    ``event_queue`` selects the kernel's continuous-time event core:
-    ``"calendar"`` (the default bucketed queue — O(1) delivery
-    inserts) or ``"heap"`` (the historical global ``heapq``).  Both
-    drain in identical ``(time, seq)`` order, so the produced traces
-    are byte-identical (pinned in ``tests/runtime``).
-
     ``engine="columnar"`` runs the whole event loop as masked matrix
     passes when the regime allows it
     (:class:`~repro.runtime.columnar_engine.ColumnarDriftingEngine` —
@@ -426,7 +420,6 @@ class DriftingScheduler:
         trace_mode: str = "full",
         payload_stats: bool = False,
         engine: str = "object",
-        event_queue: str = "calendar",
     ):
         self._kernel = RuntimeKernel(
             algorithms,
@@ -438,7 +431,6 @@ class DriftingScheduler:
             trace_mode=trace_mode,
             payload_stats=payload_stats,
             engine=engine,
-            event_queue=event_queue,
         )
         self._environment = environment
         self._record_snapshots = record_snapshots

@@ -13,7 +13,7 @@ clusters in :mod:`repro.weakset` are built on this package; fast paths
 added here apply to every engine at once.
 """
 
-from repro.runtime.events import CalendarEventQueue, HeapEventQueue, calendar_width
+from repro.runtime.events import CalendarEventQueue, calendar_width
 from repro.runtime.kernel import RuntimeKernel, StopPredicate
 from repro.runtime.sinks import AggregateTraceSink, FullTraceSink, TraceSink
 
@@ -21,7 +21,6 @@ __all__ = [
     "AggregateTraceSink",
     "CalendarEventQueue",
     "FullTraceSink",
-    "HeapEventQueue",
     "RuntimeKernel",
     "StopPredicate",
     "TraceSink",

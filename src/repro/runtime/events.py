@@ -1,4 +1,4 @@
-"""Event queues for the runtime kernel: heapq twin + calendar queue.
+"""The runtime kernel's event queue: a calendar queue.
 
 The kernel's continuous-time event core was a single global ``heapq``
 of ``(time, seq, kind, data)`` entries.  A binary heap pays O(log N)
@@ -15,25 +15,24 @@ indices* — a few dozen live buckets, not thousands of events — finds
 the next non-empty bucket, so sparse stretches of simulated time cost
 O(log buckets), never a linear scan.
 
-Both queues expose the same ``push`` / ``pop`` / ``__len__`` /
-``__bool__`` surface and pop in **exactly** the same total order:
-``(time, seq)`` ascending, i.e. FIFO among equal times.  For the
-calendar this follows from two facts: every event in bucket ``i`` has
-a strictly smaller time than every event in any bucket ``j > i``
-(times are half-open ``[i·w, (i+1)·w)`` intervals), and within the
-drained bucket the heap orders by ``(time, seq)``.  The equivalence is
-property-tested against the heap twin under randomized interleaved
-schedules in ``tests/runtime/test_event_queue.py``, which is what lets
-:class:`~repro.runtime.kernel.RuntimeKernel` switch the default to the
-calendar while keeping drifting-scheduler traces byte-identical.
+The queue pops in **exactly** the order a global binary heap would:
+``(time, seq)`` ascending, i.e. FIFO among equal times.  This follows
+from two facts: every event in bucket ``i`` has a strictly smaller
+time than every event in any bucket ``j > i`` (times are half-open
+``[i·w, (i+1)·w)`` intervals), and within the drained bucket the
+entries are sorted by ``(time, seq)``.  The equivalence is
+property-tested against a ``heapq`` oracle under randomized
+interleaved schedules in ``tests/runtime/test_event_queue.py``, and
+whole drifting runs on the oracle are pinned byte-identical to runs on
+the calendar (``tests/runtime``).
 
-Example — the two queues drain any schedule identically:
+Example — any schedule drains in ``(time, seq)`` order:
 
-    >>> heap, calendar = HeapEventQueue(), CalendarEventQueue(width=1.0)
+    >>> calendar = CalendarEventQueue(width=1.0)
     >>> for entry in [(2.5, 0, "eor", ()), (0.3, 1, "eor", ()), (0.3, 2, "d", ())]:
-    ...     heap.push(entry); calendar.push(entry)
-    >>> [heap.pop() == calendar.pop() for _ in range(3)]
-    [True, True, True]
+    ...     calendar.push(entry)
+    >>> [calendar.pop()[:2] for _ in range(3)]
+    [(0.3, 1), (0.3, 2), (2.5, 0)]
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "EventEntry",
-    "HeapEventQueue",
     "CalendarEventQueue",
     "calendar_width",
 ]
@@ -83,31 +81,6 @@ def calendar_width(environment: object) -> float:
     return max(1.0, (hi - lo) / _TARGET_LIVE_BUCKETS)
 
 
-class HeapEventQueue:
-    """The historical event core: one global binary heap.
-
-    Kept selectable (``event_queue="heap"``) as the reference
-    implementation the calendar queue is equivalence-tested against.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[EventEntry] = []
-
-    def push(self, entry: EventEntry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> EventEntry:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 class CalendarEventQueue:
     """Bucketed timing wheel with exact ``(time, seq)`` drain order.
 
@@ -127,7 +100,7 @@ class CalendarEventQueue:
     being drained — e.g. a gated process released past its nominal
     schedule) are legal: the pop path re-checks the index heap, parks
     the partially drained bucket (compacting its consumed prefix) and
-    steers the cursor back.  Exactly like the heap twin, an entry
+    steers the cursor back.  Exactly like a binary heap, an entry
     inserted with a time earlier than an already-popped entry simply
     pops next — a priority queue cannot un-pop.
     """

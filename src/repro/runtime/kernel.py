@@ -14,8 +14,7 @@ recording.  The kernel extracts that shared machinery once:
   halt recording, decision polling);
 * the **delivery queues**: a tick-indexed late-delivery map for
   lock-step engines and a continuous-time event queue for event-driven
-  ones (a bucketed calendar queue by default, the historical ``heapq``
-  selectable — see :mod:`repro.runtime.events`).
+  ones (a bucketed calendar queue — see :mod:`repro.runtime.events`).
 
 Schedulers stay in charge of *ordering* — when rounds fire, how
 deliveries interleave — and delegate everything else here, so a fast
@@ -34,7 +33,7 @@ from repro.giraf.automaton import GirafAlgorithm, GirafProcess
 from repro.giraf.environments import Environment
 from repro.giraf.messages import Envelope
 from repro.giraf.traces import CrashEvent, DecisionEvent, HaltEvent, RunTrace
-from repro.runtime.events import CalendarEventQueue, HeapEventQueue, calendar_width
+from repro.runtime.events import CalendarEventQueue, calendar_width
 from repro.runtime.sinks import AggregateTraceSink, FullTraceSink, TraceSink
 
 __all__ = ["RuntimeKernel", "StopPredicate"]
@@ -77,12 +76,6 @@ class RuntimeKernel:
             drifting scheduler swaps electors.  Both engines are
             pinned equivalent (``tests/runtime``), so this is purely a
             representation switch.
-        event_queue: ``"calendar"`` (bucketed timing wheel, the
-            default — O(1) inserts, bucket width derived from the
-            environment's delay bounds) or ``"heap"`` (the historical
-            global ``heapq``).  Both drain in exactly ``(time, seq)``
-            order, so traces are byte-identical either way
-            (equivalence-tested in ``tests/runtime``).
 
     Example — a kernel owns the process pool and the event plumbing;
     schedulers only decide ordering:
@@ -115,7 +108,6 @@ class RuntimeKernel:
         trace_mode: str = "full",
         payload_stats: bool = False,
         engine: str = "object",
-        event_queue: str = "calendar",
     ):
         if not algorithms:
             raise SimulationError("need at least one process")
@@ -125,8 +117,6 @@ class RuntimeKernel:
             raise SimulationError(f"unknown trace_mode {trace_mode!r}")
         if engine not in ("object", "columnar"):
             raise SimulationError(f"unknown engine {engine!r}")
-        if event_queue not in ("calendar", "heap"):
-            raise SimulationError(f"unknown event_queue {event_queue!r}")
         self.algorithms = list(algorithms)
         self.environment = environment
         self.crashes = crash_schedule or CrashSchedule.none()
@@ -159,12 +149,7 @@ class RuntimeKernel:
         # due tick -> queued late deliveries (lock-step engines)
         self._pending: Dict[int, List[QueuedDelivery]] = {}
         # continuous-time event queue (event-driven engines)
-        self.event_queue = event_queue
-        self._events = (
-            HeapEventQueue()
-            if event_queue == "heap"
-            else CalendarEventQueue(calendar_width(environment))
-        )
+        self._events = CalendarEventQueue(calendar_width(environment))
         self._seq = itertools.count()
 
     # ------------------------------------------------------------------

@@ -97,7 +97,6 @@ def run_consensus(
     phases: Optional[Sequence[float]] = None,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
 ) -> ConsensusRun:
     """Run one consensus instance and package trace + verdict + metrics.
 
@@ -116,9 +115,6 @@ def run_consensus(
             or ``"columnar"`` (array-backed counters over a shared
             history index; pinned equivalent — see
             :mod:`repro.core.columnar`).
-        event_queue: continuous-time event core for the drifting
-            scheduler (``"calendar"`` or ``"heap"``; ignored under
-            lock-step, which has no event queue).
     """
     algorithms = [factory(value) for value in proposals]
     stop = stop_when_all_correct_decided if stop_early else None
@@ -145,7 +141,6 @@ def run_consensus(
             phases=phases,
             trace_mode=trace_mode,
             engine=engine,
-            event_queue=event_queue,
         )
     else:
         raise ValueError(f"unknown scheduler {scheduler!r}")
@@ -169,7 +164,6 @@ def run_es_consensus(
     record_snapshots: bool = False,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
     **algorithm_kwargs,
 ) -> ConsensusRun:
     """Algorithm 2 under a seeded ES environment."""
@@ -187,7 +181,6 @@ def run_es_consensus(
         stabilization_round=gst,
         trace_mode=trace_mode,
         engine=engine,
-        event_queue=event_queue,
     )
 
 
@@ -203,7 +196,6 @@ def run_ess_consensus(
     record_snapshots: bool = False,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
     **algorithm_kwargs,
 ) -> ConsensusRun:
     """Algorithm 3 under a seeded ESS environment.
@@ -227,7 +219,6 @@ def run_ess_consensus(
         stabilization_round=stabilization_round,
         trace_mode=trace_mode,
         engine=engine,
-        event_queue=event_queue,
     )
 
 
@@ -260,11 +251,12 @@ class ChurnRun:
             identical with and without the crashes — ``recovery`` is
             where the infrastructure cost shows.
         exchanges/frame_pairs: structural wire-cost counters from the
-            transport backends — driver exchanges issued and
-            request/reply frame pairs they put on the wire (one pair
-            per worker channel per exchange).  Zero for the serial
-            backend (no wire).  These are what round batching and
-            world multiplexing shrink, independent of timing noise.
+            backend's driver — exchanges issued and request/reply
+            pairs they put on the channels (one pair per worker
+            channel per exchange; the serial backend's in-process,
+            codec-free channels count the same way).  These are what
+            round batching and world multiplexing shrink, independent
+            of timing noise.
         rebalances: one
             :class:`~repro.weakset.sharding.RebalanceStats` per
             membership change the run performed (``join_at`` /
@@ -379,7 +371,8 @@ def run_churn_workload(
             the drain loop.
         frames: wire codec for the transport backends (``"binary"``,
             the struct-packed default, or ``"json"``); ignored by the
-            serial backend.  Results are codec-invariant.
+            serial backend, whose channels carry no codec.  Results are
+            codec-invariant.
         round_batch: coalesce up to this many lock-step rounds into
             one frame pair per worker during the **drain** phase (after
             the stream is exhausted — the issue loop stays per-round,

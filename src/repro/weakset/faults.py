@@ -281,8 +281,8 @@ class FaultyTransport(Transport):
     Wraps ``inner`` and forwards everything — until the wrapper's
     driver-exchange counter reaches a scheduled fault for its shard,
     at which point the fault fires once and the schedule advances.
-    Wrapping is transparent to both the exchange loop (``fileno`` and
-    ``codec`` delegate) and the supervisor (which swaps the inner
+    Wrapping is transparent to both the exchange loop (``codec``
+    delegates) and the supervisor (which swaps the inner
     channel on respawn via :meth:`replace_inner` and silences the
     schedule during replay via :meth:`suspended`).
     """
@@ -319,9 +319,6 @@ class FaultyTransport(Transport):
     @codec.setter
     def codec(self, value: str) -> None:
         self._inner.codec = value
-
-    def fileno(self) -> Optional[int]:
-        return self._inner.fileno()
 
     def close(self) -> None:
         self._inner.close()

@@ -22,15 +22,15 @@ three-layer stack:
 * the **transports** (:mod:`repro.weakset.transport`) — where a shard
   world lives: in this process (:class:`~repro.weakset.transport.InProcTransport`),
   behind a ``multiprocessing`` pipe, or across a TCP socket — plus the
-  overlapped ``exchange_all`` round loop that issues every shard's
-  request first and harvests replies as they arrive (order-canonical,
-  so traces stay byte-identical);
-* the **backends** (this module) — :class:`SerialBackend` (the
-  historical in-process mode, no protocol involved, byte-for-byte),
-  and the :class:`TransportBackend` compositions
-  :class:`InProcBackend`, :class:`MultiprocessBackend` (one worker
-  process per shard over pipes) and :class:`SocketBackend` (workers
-  over TCP — loopback-spawned for CI, or remote via
+  ``exchange_all`` round loop that issues every shard's request first
+  and harvests the replies in shard order (order-canonical, so traces
+  stay byte-identical);
+* the **backends** (this module) — one driver, :class:`TransportBackend`,
+  and its compositions: :class:`InProcBackend` (in this process,
+  behind the full codec), :class:`SerialBackend` (in this process
+  over a codec-free channel — the default), :class:`MultiprocessBackend`
+  (one worker process per shard over pipes) and :class:`SocketBackend`
+  (workers over TCP — loopback-spawned for CI, or remote via
   :func:`run_socket_worker` / ``python -m repro.experiments
   --connect HOST:PORT``).
 
@@ -56,7 +56,7 @@ payloads the library trades in, and the same property the repo's
 seeded policies already assume).  Values with identity-based reprs
 (e.g. a class using the ``object`` default) would route by memory
 address; give such types a content ``__repr__`` before sharding them.
-Transport-executed backends additionally require values the canonical
+Every backend but ``serial`` additionally requires values the canonical
 codec can carry (the :mod:`repro.serialization` universe) — register a
 codec for custom payload types before sharding them across processes.
 """
@@ -68,7 +68,6 @@ import itertools
 import logging
 import multiprocessing
 import pickle
-import selectors
 import socket
 import time
 import traceback
@@ -303,7 +302,7 @@ def _plan_rebalance(
                     "advance until one completes first"
                 )
             in_flight[key] = value
-        if token is not None and token in pending_tokens:
+        if token in pending_tokens:
             continue  # undelivered: re-bucketed, never replayed
         owner_old = route_old(value)
         if owner_old != owner_new:
@@ -383,8 +382,7 @@ class ShardBackend(ABC):
             may keep **in flight** at once (transport backends send
             batch ``k+1`` before batch ``k``'s replies are harvested —
             the round-trip-hiding lever; see
-            :meth:`TransportBackend.advance`).  Backends without a
-            wire accept and ignore it.  Default 1: strict
+            :meth:`TransportBackend.advance`).  Default 1: strict
             send-then-harvest, the historical behaviour.
     """
 
@@ -401,7 +399,7 @@ class ShardBackend(ABC):
     # of this history into each rebuilt world — the same seed-replay
     # idea the supervisor uses for crash recovery, applied to a
     # membership change instead of a worker death.  Entries:
-    #   ("add", token, pid, value, record)   token is None serially
+    #   ("add", token, pid, value, record)
     #   ("step", ticks)                      coalesced with the tail
     def _record_add(
         self, token: Optional[int], pid: int, value: Hashable, record: AddRecord
@@ -425,9 +423,8 @@ class ShardBackend(ABC):
     ) -> RebalanceStats:
         """Rebalance to ``new_members`` (member-id routes old/new).
 
-        Only the serial backend and the single-world-per-channel
-        transport backends support runtime membership; the default
-        rejects it.
+        Only the single-world-per-channel transport backends support
+        runtime membership; the default rejects it.
         """
         raise SimulationError(
             f"{type(self).__name__} does not support runtime membership"
@@ -518,9 +515,8 @@ class ShardBackend(ABC):
     def traces(self) -> List[RunTrace]:
         """Per-shard run traces (index = shard).
 
-        The serial backend returns the live trace objects; transport
-        backends return point-in-time snapshots fetched from the
-        workers.
+        The serial backend returns the live trace objects; the others
+        return point-in-time snapshots decoded off the wire.
         """
 
     @property
@@ -544,199 +540,6 @@ class ShardBackend(ABC):
         self.close()
 
 
-class SerialBackend(ShardBackend):
-    """All shard worlds in this process, stepped in shard order.
-
-    This is the historical execution mode extracted behind the seam;
-    the step sequence each shard sees — and therefore every shard
-    trace — is byte-for-byte what the pre-seam facade produced.  No
-    protocol or transport is involved (compare :class:`InProcBackend`,
-    which runs the same worlds behind the full wire stack).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        *,
-        shards: int,
-        environment_factory: EnvironmentFactory,
-        crash_schedule: Optional[CrashSchedule],
-        max_total_rounds: int,
-        trace_mode: str,
-        round_batch: int = 1,
-        window: int = 1,
-        frames: str = DEFAULT_CODEC,
-        recover: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        members: Optional[List[int]] = None,
-    ):
-        # ``frames`` is accepted (and checked) for signature uniformity
-        # with the transport backends; no wire is involved here, so the
-        # codec choice has nothing to encode.  Likewise ``window`` (no
-        # round trips to overlap: in-process steps are synchronous
-        # either way) and ``retry_policy`` (nothing to retry);
-        # supervision and fault injection, though, are wire features a
-        # wireless backend cannot honour even vacuously — asking for
-        # them here is a configuration error.
-        if frames not in CODECS:
-            known = ", ".join(sorted(CODECS))
-            raise SimulationError(f"unknown frame codec {frames!r}; known: {known}")
-        if round_batch < 1:
-            raise SimulationError("round_batch must be >= 1")
-        if window < 1:
-            raise SimulationError("window must be >= 1")
-        if recover or fault_plan:
-            raise SimulationError(
-                "the serial backend has no workers to supervise or wires "
-                "to fault; use inproc, multiprocess, or socket"
-            )
-        self.round_batch = round_batch
-        self.window = window
-        self.members = _resolve_members(shards, members)
-        self.num_shards = len(self.members)
-        self.n = n
-        # kept for runtime membership: a rebalanced world is rebuilt
-        # from exactly these construction ingredients plus the history
-        self._environment_factory = environment_factory
-        self._crash_schedule = crash_schedule
-        self._max_total_rounds = max_total_rounds
-        self._trace_mode = trace_mode
-        self._history: List[tuple] = []
-        self.clusters: List[MSWeakSetCluster] = [
-            MSWeakSetCluster(
-                n,
-                environment=environment_factory(member),
-                crash_schedule=crash_schedule,
-                max_total_rounds=max_total_rounds,
-                trace_mode=trace_mode,
-            )
-            for member in self.members
-        ]
-
-    @property
-    def now(self) -> float:
-        return self.clusters[0].now
-
-    @property
-    def exhausted(self) -> bool:
-        return any(cluster.exhausted for cluster in self.clusters)
-
-    def begin_add(self, shard_index: int, pid: int, value: Hashable) -> AddRecord:
-        record = self.clusters[shard_index].begin_add(pid, value)
-        self._record_add(None, pid, value, record)
-        return record
-
-    def step(self) -> bool:
-        alive = True
-        for cluster in self.clusters:
-            if not cluster.step():
-                alive = False
-        self._record_steps(1)
-        return alive
-
-    def apply_membership(
-        self,
-        new_members: List[int],
-        route_old: Callable[[Hashable], int],
-        route_new: Callable[[Hashable], int],
-    ) -> RebalanceStats:
-        started = time.perf_counter()
-        if self.exhausted:
-            raise SimulationError(
-                "cannot change membership once a shard world is exhausted"
-            )
-        plan = _plan_rebalance(
-            self.members, new_members, self._history, route_old, route_new
-        )
-        # Rebuild each affected world from its seed: a fresh cluster
-        # driven through the owned slice of the global history — the
-        # exact begin_add/step sequence a cluster *constructed* with
-        # the new membership would have executed.  The replay drives
-        # throwaway records; originals are only mutated once every
-        # world replayed cleanly, so a replay-time rejection leaves
-        # the cluster untouched on the old membership.
-        rebuilt: Dict[int, MSWeakSetCluster] = {}
-        replayed_ticks = 0
-        swaps: List[Tuple[MSWeakSetCluster, AddRecord, AddRecord]] = []
-        for member in plan.rebuilt:
-            world = MSWeakSetCluster(
-                self.n,
-                environment=self._environment_factory(member),
-                crash_schedule=self._crash_schedule,
-                max_total_rounds=self._max_total_rounds,
-                trace_mode=self._trace_mode,
-            )
-            for entry in self._history:
-                if entry[0] == "step":
-                    for _ in range(entry[1]):
-                        world.step()
-                    replayed_ticks += entry[1]
-                    continue
-                _kind, _token, pid, value, record = entry
-                if route_new(value) != member:
-                    continue
-                try:
-                    replayed = world.begin_add(pid, value)
-                except (ProtocolMisuse, SimulationError) as error:
-                    raise SimulationError(
-                        f"cannot rebalance: replaying member {member}'s "
-                        f"history has no equivalent state under the new "
-                        f"membership ({error})"
-                    ) from None
-                swaps.append((world, replayed, record))
-            if world.now != self.now:
-                raise SimulationError(
-                    f"rebuilt world for member {member} replayed to round "
-                    f"{world.now:g}, cluster is at {self.now:g}"
-                )
-            rebuilt[member] = world
-        # Adopt the replay outcomes.  The replayed timeline is the
-        # authoritative one for every value a rebuilt world owns: the
-        # caller-held records take its stamps — identical for values
-        # that did not move; the new owner's timeline for moved ones,
-        # exactly what a fresh post-change cluster stamps — and the
-        # worlds swap the original objects back in so live traffic
-        # keeps stamping what the caller holds (blocking-add loop,
-        # OpLog).
-        for world, replayed, record in swaps:
-            record.end = replayed.end
-            for sequence in (world.log.adds, world._in_flight):
-                for index, item in enumerate(sequence):
-                    if item is replayed:
-                        sequence[index] = record
-        by_member = dict(zip(self.members, self.clusters))
-        for member in plan.removed:
-            del by_member[member]
-        by_member.update(rebuilt)
-        self.members = list(new_members)
-        self.num_shards = len(self.members)
-        self.clusters = [by_member[member] for member in self.members]
-        return RebalanceStats(
-            joined=tuple(plan.joined),
-            left=tuple(plan.removed),
-            moved_values=plan.moved_values,
-            rebuilt_members=tuple(plan.rebuilt),
-            replayed_ticks=replayed_ticks,
-            wall_clock=time.perf_counter() - started,
-        )
-
-    def crashed(self, shard_index: int, pid: int) -> bool:
-        return self.clusters[shard_index]._scheduler.processes[pid].crashed
-
-    def local_views(self, pid: int) -> List[Tuple[bool, FrozenSet[Hashable]]]:
-        return [
-            (
-                cluster._scheduler.processes[pid].crashed,
-                cluster.algorithms[pid].get_now(),
-            )
-            for cluster in self.clusters
-        ]
-
-    def traces(self) -> List[RunTrace]:
-        return [cluster.trace for cluster in self.clusters]
-
-
 # ----------------------------------------------------------------------
 # the worker side: one shard world behind the wire protocol
 # ----------------------------------------------------------------------
@@ -746,9 +549,9 @@ class ShardServer:
     The worker half of every transport backend: owns the shard's
     :class:`~repro.weakset.cluster.MSWeakSetCluster` plus the
     token -> :class:`~repro.weakset.spec.AddRecord` map for in-flight
-    adds, and maps each request type to the same cluster calls the
-    serial backend makes — which is why workers replay serial worlds
-    exactly.
+    adds, and maps each request type to the same cluster calls a plain
+    in-process cluster makes — which is why every backend replays the
+    same worlds exactly.
 
     Example (driving the protocol without any transport):
 
@@ -1168,13 +971,13 @@ def spawn_socket_workers(
 
 
 # ----------------------------------------------------------------------
-# the parent side: protocol + transport + overlapped driver
+# the parent side: protocol + transport + driver
 # ----------------------------------------------------------------------
 class TransportBackend(ShardBackend):
     """Shard execution composed from protocol + transports + driver.
 
-    This is the shared parent-side driver every non-serial backend is a
-    thin composition of: it mirrors exactly the shard state the facade
+    This is the shared parent-side driver every backend is a thin
+    composition of: it mirrors exactly the shard state the facade
     consults between steps — the shared clock, per-shard crash sets,
     shard exhaustion, and which adds are still in flight — so handle
     operations stay local, and cross-channel traffic is **one
@@ -1183,14 +986,11 @@ class TransportBackend(ShardBackend):
     queued since the last tick; the reply carries completions, the
     crash set and the clock) plus one pair per shard per ``get``.
 
-    Each exchange is **overlapped**: all shard requests are issued
-    first, then replies are harvested as they arrive through a
-    selector (:func:`repro.weakset.transport.exchange_all`) rather
-    than in fixed shard order — a slow worker no longer serializes the
-    harvest behind a fast one.  Replies are *processed* in canonical
-    shard order regardless of arrival, so traces stay byte-identical
-    for a fixed seed (``overlap=False`` forces the lock-step harvest;
-    the benchmarks compare the two).
+    Each exchange issues every shard's request first, so the workers
+    compute concurrently, then harvests the replies in shard order
+    (:func:`repro.weakset.transport.exchange_all`), each under its own
+    request's deadline when one is set; traces are byte-identical for a
+    fixed seed.
 
     With ``window > 1`` a multi-chunk :meth:`advance` goes further and
     **pipelines** the exchanges themselves: up to ``window`` round
@@ -1228,9 +1028,7 @@ class TransportBackend(ShardBackend):
     ``fault_plan`` wraps every transport in a
     :class:`~repro.weakset.faults.FaultyTransport` firing the plan's
     scheduled faults — the chaos harness the supervisor is tested
-    against.  Both knobs force the lock-step (non-overlapped) harvest:
-    deterministic per-shard detection matters more than harvest
-    overlap when channels are expected to die.
+    against.
     """
 
     def __init__(
@@ -1242,7 +1040,6 @@ class TransportBackend(ShardBackend):
         crash_schedule: Optional[CrashSchedule],
         max_total_rounds: int,
         trace_mode: str,
-        overlap: bool = True,
         frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
@@ -1280,13 +1077,6 @@ class TransportBackend(ShardBackend):
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
         )
-        if recover or fault_plan:
-            # Dying channels and a shared selector do not mix (a closed
-            # fd silently drops out of an epoll set); recovery and
-            # chaos both use the per-shard lock-step harvest, where
-            # detection is attributable and deterministic.
-            overlap = False
-        self._overlap = overlap
         self._fault_plan = fault_plan
         self._retry_policy = retry_policy
         # An unsupervised run with faults injected (or an explicit
@@ -1310,7 +1100,6 @@ class TransportBackend(ShardBackend):
         self._failed = False
         self._transports: List[Transport] = []
         self._workers: List = []
-        self._selector: Optional[selectors.BaseSelector] = None
         #: shard indices behind each worker channel (``_groups[c]`` are
         #: the shards channel ``c`` hosts, in sub-request order).  The
         #: identity mapping unless a subclass's ``_start`` multiplexes.
@@ -1327,20 +1116,6 @@ class TransportBackend(ShardBackend):
                 ]
             if recover:
                 self._supervisor = ShardSupervisor(self, policy=retry_policy)
-            if (
-                overlap
-                and len(self._transports) > 1
-                and all(t.fileno() is not None for t in self._transports)
-            ):
-                # One long-lived selector with every shard registered:
-                # the per-round harvest is then a single poll instead
-                # of a register/unregister cycle (exactly one reply
-                # per shard is ever in flight).
-                self._selector = selectors.DefaultSelector()
-                for index, transport in enumerate(self._transports):
-                    self._selector.register(
-                        transport.fileno(), selectors.EVENT_READ, index
-                    )
         except BaseException:
             self.close()
             raise
@@ -1383,9 +1158,7 @@ class TransportBackend(ShardBackend):
 
         When the slot holds a fault wrapper the *inner* channel is
         swapped so the shard's remaining scheduled faults survive the
-        respawn; otherwise the transport is replaced outright.  (The
-        supervised path never uses the shared selector, so there is no
-        registration to fix up.)
+        respawn; otherwise the transport is replaced outright.
         """
         current = self._transports[shard_index]
         if isinstance(current, FaultyTransport):
@@ -1441,7 +1214,7 @@ class TransportBackend(ShardBackend):
         return replies
 
     def _exchange(self, requests: List[object]) -> List[object]:
-        """One overlapped round trip; replies in canonical shard order."""
+        """One round trip; replies in canonical shard order."""
         self.exchanges += 1
         self.frame_pairs += len(self._transports)
         if self._supervisor is not None:
@@ -1459,8 +1232,6 @@ class TransportBackend(ShardBackend):
                     exchange_all(
                         self._transports,
                         self._wire_requests(requests),
-                        overlap=self._overlap,
-                        selector=self._selector,
                         timeout=self._request_timeout,
                     )
                 )
@@ -1697,9 +1468,6 @@ class TransportBackend(ShardBackend):
                 self._records.pop(token, None)
 
         # 5. adopt the new membership across every parent-side mirror.
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
         old_crashed = dict(zip(old_members, self._crashed))
         old_logs: Dict[int, List[object]] = (
             dict(zip(old_members, self._supervisor._logs))
@@ -1727,16 +1495,6 @@ class TransportBackend(ShardBackend):
                 self._pending[slot].append((token, pid, value))
             if record.end is None:
                 self._in_flight[(slot, pid)] = record
-        if (
-            self._overlap
-            and len(self._transports) > 1
-            and all(t.fileno() is not None for t in self._transports)
-        ):
-            self._selector = selectors.DefaultSelector()
-            for index, transport in enumerate(self._transports):
-                self._selector.register(
-                    transport.fileno(), selectors.EVENT_READ, index
-                )
         if self._supervisor is not None:
             self._supervisor.reset_membership(
                 [
@@ -1987,8 +1745,6 @@ class TransportBackend(ShardBackend):
         try:
             wire_replies = harvest_all(
                 self._transports,
-                overlap=self._overlap,
-                selector=self._selector,
                 deadlines=deadlines,
                 timeout=self._request_timeout,
             )
@@ -2086,9 +1842,6 @@ class TransportBackend(ShardBackend):
         if self._closed:
             return
         self._closed = True
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
         with contextlib.ExitStack() as stack:
             for transport in self._transports:
                 # shutdown traffic is not a driver exchange: unfired
@@ -2143,22 +1896,58 @@ class TransportBackend(ShardBackend):
 class InProcBackend(TransportBackend):
     """Every shard world in this process, behind the full wire stack.
 
-    Functionally the serial backend (same worlds, same step sequence,
-    byte-identical traces) but every operation round-trips the binary
-    codec through :class:`~repro.weakset.transport.InProcTransport` —
-    the cheapest way to exercise the protocol end-to-end, and a
-    drop-in check that a workload's values survive the wire before
-    pointing it at real processes or machines.
+    Every operation round-trips the binary codec through
+    :class:`~repro.weakset.transport.InProcTransport` — the cheapest
+    way to exercise the protocol end-to-end, and a drop-in check that
+    a workload's values survive the wire before pointing it at real
+    processes or machines.
     """
 
     def _start(self) -> None:
         for member in self.members:
-            server = ShardServer(self._config, member)
-            self._transports.append(InProcTransport(server.handle, self.frames))
+            self._transports.append(self._spawn_world(member))
 
     def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
         server = ShardServer(self._config, member, resume_round)
         return InProcTransport(server.handle, self.frames)
+
+
+class SerialBackend(InProcBackend):
+    """Every shard world in this process, over codec-free channels.
+
+    The :class:`InProcBackend` driver, but each channel hands request
+    and reply objects straight to :meth:`ShardServer.handle`: values
+    need no codec, :meth:`traces` returns the live trace objects, and
+    :attr:`clusters` exposes each slot's live world.  With no workers
+    to supervise and no wires to fault, ``recover`` and ``fault_plan``
+    are rejected.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        *,
+        recover: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+        **kwargs,
+    ):
+        if recover or fault_plan:
+            raise SimulationError(
+                "the serial backend has no workers to supervise or wires "
+                "to fault; use inproc, multiprocess, or socket"
+            )
+        self._servers: Dict[int, ShardServer] = {}
+        super().__init__(n, **kwargs)
+
+    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
+        server = ShardServer(self._config, member, resume_round)
+        self._servers[member] = server
+        return InProcTransport(server.handle, codec=None)
+
+    @property
+    def clusters(self) -> List[MSWeakSetCluster]:
+        """Each slot's live shard world, in slot order."""
+        return [self._servers[member].cluster for member in self.members]
 
 
 class MultiprocessBackend(TransportBackend):
@@ -2167,7 +1956,7 @@ class MultiprocessBackend(TransportBackend):
     The composition: :func:`_pipe_worker` serves a
     :class:`ShardServer` over a
     :class:`~repro.weakset.transport.PipeTransport`; this class spawns
-    the workers and drives them through the shared overlapped
+    the workers and drives them through the shared
     :class:`TransportBackend` loop.
 
     Determinism: a worker constructs its shard world from the same
@@ -2197,7 +1986,6 @@ class MultiprocessBackend(TransportBackend):
         max_total_rounds: int,
         trace_mode: str,
         start_method: Optional[str] = None,
-        overlap: bool = True,
         frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
@@ -2216,7 +2004,6 @@ class MultiprocessBackend(TransportBackend):
             crash_schedule=crash_schedule,
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
-            overlap=overlap,
             frames=frames,
             round_batch=round_batch,
             window=window,
@@ -2304,7 +2091,6 @@ class SocketBackend(TransportBackend):
         listen: Optional[Tuple[str, int]] = None,
         start_method: Optional[str] = None,
         accept_timeout: float = 30.0,
-        overlap: bool = True,
         frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
@@ -2340,7 +2126,6 @@ class SocketBackend(TransportBackend):
             crash_schedule=crash_schedule,
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
-            overlap=overlap,
             frames=frames,
             round_batch=round_batch,
             window=window,
@@ -2571,15 +2356,18 @@ class ShardedWeakSetCluster:
             which must have been built for the same ``n`` and
             ``shards`` (checked) and supplies its own
             environments/crash schedule/horizon/trace mode (the
-            facade's remaining arguments are not used then).
+            facade's remaining arguments are not used then, and the
+            backend's own construction knobs — ``start_method``,
+            ``frames``, ``round_batch``, ``window``,
+            ``worlds_per_worker``, ``recover``, ``fault_plan``,
+            ``retry_policy``, ``members`` — are rejected alongside it).
         start_method: optional ``multiprocessing`` start method for the
             multiprocess/socket backends (default: ``fork`` when
             available).
         frames: frame codec for the wire-executed backends —
             ``"binary"`` (the default struct-packed layout) or
             ``"json"`` (the debug/fallback).  Traces are codec-
-            invariant; the serial backend accepts and ignores it (no
-            wire involved).
+            invariant; the serial backend's channels carry no codec.
         round_batch: how many lock-step ticks :meth:`advance`
             coalesces into one backend exchange (one frame pair per
             worker on the wire backends).  Single ``step`` calls and
@@ -2591,8 +2379,7 @@ class ShardedWeakSetCluster:
             sent before batch ``k``'s replies are harvested, hiding
             the per-batch round trip (see
             :meth:`TransportBackend.advance`).  Traces are identical
-            across window sizes for a fixed seed.  The serial backend
-            accepts and ignores it.  Default 1.
+            across window sizes for a fixed seed.  Default 1.
         worlds_per_worker: socket backend only — let one worker
             process host up to this many shard worlds behind one
             multiplexed channel (protocol-v4 ``MuxRequest`` frames),
@@ -2664,30 +2451,33 @@ class ShardedWeakSetCluster:
         if isinstance(backend, ShardBackend):
             # A constructed backend brings its own world configuration;
             # reject silent conflicts with the facade's arguments (the
-            # remaining construction knobs live inside the backend and
-            # cannot be cross-checked — they are simply not used here).
+            # construction knobs live inside the backend and cannot be
+            # cross-checked, so passing any of them here is an error).
             if backend.n != n or backend.num_shards != shards:
                 raise SimulationError(
                     f"backend was built for n={backend.n}, "
                     f"shards={backend.num_shards}; the facade was asked for "
                     f"n={n}, shards={shards}"
                 )
-            if recover or fault_plan or retry_policy:
-                raise SimulationError(
-                    "recover/fault_plan/retry_policy are construction-time "
-                    "backend knobs; pass them where the backend is built, "
-                    "not alongside a constructed instance"
+            knobs = [
+                name
+                for name, given in (
+                    ("start_method", start_method is not None),
+                    ("frames", frames != DEFAULT_CODEC),
+                    ("round_batch", round_batch != 1),
+                    ("window", window != 1),
+                    ("worlds_per_worker", worlds_per_worker is not None),
+                    ("recover", recover),
+                    ("fault_plan", fault_plan),
+                    ("retry_policy", retry_policy),
+                    ("members", members is not None),
                 )
-            if window != 1 or worlds_per_worker is not None:
+                if given
+            ]
+            if knobs:
                 raise SimulationError(
-                    "window/worlds_per_worker are construction-time backend "
-                    "knobs; pass them where the backend is built, not "
-                    "alongside a constructed instance"
-                )
-            if members is not None:
-                raise SimulationError(
-                    "members is a construction-time backend knob; pass it "
-                    "where the backend is built, not alongside a "
+                    f"{'/'.join(knobs)}: construction-time backend knobs; "
+                    "pass them where the backend is built, not alongside a "
                     "constructed instance"
                 )
             self._backend = backend
@@ -2754,10 +2544,11 @@ class ShardedWeakSetCluster:
 
     @property
     def shards(self) -> List[MSWeakSetCluster]:
-        """The in-process shard clusters (serial backend only).
+        """The live in-process shard clusters, in slot order (serial
+        backend only).
 
-        Transport backends' shard worlds live behind their channels;
-        use :meth:`traces` / the handle API instead.
+        Other backends' shard worlds live behind a codec or a process
+        boundary; use :meth:`traces` / the handle API instead.
         """
         if isinstance(self._backend, SerialBackend):
             return self._backend.clusters
@@ -2885,7 +2676,8 @@ class ShardedWeakSetCluster:
         return self._backend.step()
 
     def close(self) -> None:
-        """Release backend resources (a no-op for the serial backend)."""
+        """Stop the shard worlds and release backend resources (worker
+        processes, channels); later calls raise."""
         self._backend.close()
 
     def __enter__(self) -> "ShardedWeakSetCluster":

@@ -9,6 +9,8 @@ places a shard world can live:
   frames still round-trip through the binary codec (so the protocol is
   exercised end-to-end) but no OS channel is involved.  The cheapest
   way to test the stack, and the ``backend="inproc"`` execution mode.
+  Built with ``codec=None`` it hands the message objects across
+  untouched — the ``backend="serial"`` channel.
 * :class:`PipeTransport` — a ``multiprocessing`` pipe to a forked or
   spawned worker process on this machine (the pipe backend's channel,
   extracted from the pre-PR-4 ``MultiprocessBackend`` internals).
@@ -16,13 +18,12 @@ places a shard world can live:
   another machine entirely.  Frames are already length-prefixed, so
   the stream needs no extra delimiting.
 
-:func:`exchange_all` is the **overlapped round loop**: it issues every
-shard's request first, then harvests replies *as they arrive* through
-a ``selectors`` poll instead of a fixed iteration order — a slow shard
-no longer serializes the harvest behind a fast one.  Results are
-returned **order-canonically** (reply ``i`` belongs to transport ``i``
-no matter the arrival order), which is why backend traces stay
-byte-identical for a fixed seed regardless of harvest interleaving.
+:func:`exchange_all` is the **round loop**: it issues every shard's
+request first (so every worker computes concurrently), then harvests
+one reply per channel in index order, each under its own request's
+deadline.  Results are **order-canonical** (reply ``i`` belongs to
+transport ``i``), which is why backend traces stay byte-identical for
+a fixed seed.
 
 Rebalance traffic rides the same channels: a membership change first
 quiesces the pipelined window (every in-flight frame is harvested, so
@@ -116,16 +117,6 @@ class Transport(ABC):
         """
         raise TransportError("transport cannot ship raw frames")
 
-    def fileno(self) -> Optional[int]:
-        """A selectable file descriptor, or ``None`` (not selectable).
-
-        :func:`exchange_all` overlaps its harvest only when every
-        transport is selectable; otherwise it falls back to in-order
-        receives (which is also the deterministic lock-step mode the
-        benchmarks compare against).
-        """
-        return None
-
     def close(self) -> None:
         """Release the channel (idempotent)."""
 
@@ -139,30 +130,40 @@ class InProcTransport(Transport):
     the binary codec exactly as it would over a pipe or socket, and a
     value the codec cannot carry fails here too (instead of only
     failing once a real network is involved).
+
+    With ``codec=None`` the channel skips the codec: request and reply
+    objects pass by reference, so any value travels and a reply that
+    carries live state (a trace) stays live.
     """
 
     def __init__(
-        self, handler: Callable[[object], object], codec: str = DEFAULT_CODEC
+        self,
+        handler: Callable[[object], object],
+        codec: Optional[str] = DEFAULT_CODEC,
     ):
         self._handler = handler
         self.codec = codec
-        self._inbox: Deque[bytes] = deque()
+        self._inbox: Deque[object] = deque()
         self._closed = False
 
     def send(self, message: object) -> None:
         if self._closed:
             raise TransportError("transport closed")
-        request = decode_message(encode_message(message, self.codec))
+        if self.codec is not None:
+            message = decode_message(encode_message(message, self.codec))
         try:
-            reply = self._handler(request)
+            reply = self._handler(message)
         except BaseException:
             reply = ErrorReply(traceback.format_exc())
-        self._inbox.append(encode_message(reply, self.codec))
+        if self.codec is not None:
+            reply = encode_message(reply, self.codec)
+        self._inbox.append(reply)
 
     def recv(self) -> object:
         if not self._inbox:
             raise TransportError("no reply pending (send first)")
-        return decode_message(self._inbox.popleft())
+        reply = self._inbox.popleft()
+        return reply if self.codec is None else decode_message(reply)
 
     def poll(self, timeout: float = 0.0) -> bool:
         return bool(self._inbox)
@@ -203,12 +204,6 @@ class PipeTransport(Transport):
             return self._conn.poll(timeout)
         except (OSError, ValueError):  # pragma: no cover - defensive
             return False
-
-    def fileno(self) -> Optional[int]:
-        try:
-            return self._conn.fileno()
-        except (OSError, ValueError):  # pragma: no cover - defensive
-            return None
 
     def close(self) -> None:
         try:
@@ -274,12 +269,6 @@ class SocketTransport(Transport):
         except (OSError, ValueError):  # pragma: no cover - defensive
             return False
 
-    def fileno(self) -> Optional[int]:
-        try:
-            return self._sock.fileno()
-        except OSError:  # pragma: no cover - defensive
-            return None
-
     def close(self) -> None:
         if self._closed:
             return
@@ -292,7 +281,7 @@ class SocketTransport(Transport):
 
 
 # ----------------------------------------------------------------------
-# the overlapped exchange
+# the exchange
 # ----------------------------------------------------------------------
 def send_all(
     transports: Sequence[Transport],
@@ -328,22 +317,18 @@ def send_all(
 def harvest_all(
     transports: Sequence[Transport],
     *,
-    overlap: bool = True,
-    selector: Optional[selectors.BaseSelector] = None,
     deadlines: Optional[Sequence[float]] = None,
     timeout: Optional[float] = None,
 ) -> List[object]:
-    """Receive exactly one reply per transport, order-canonically.
+    """Receive exactly one reply per transport, in index order.
 
-    The harvest half of an exchange.  With ``overlap=True`` and every
-    transport selectable, replies are collected as they arrive via a
-    selector; otherwise in index order (lock-step).  Either way the
-    returned list is index-aligned with ``transports``.  Each call
-    consumes exactly one reply per channel, and channels deliver
-    replies in request order — so a pipelined driver that issued
-    several waves via :func:`send_all` harvests them one wave at a
-    time, oldest first, and reply ``i`` of each harvest is transport
-    ``i``'s answer to its request in that wave.
+    The harvest half of an exchange.  The returned list is
+    index-aligned with ``transports``.  Each call consumes exactly one
+    reply per channel, and channels deliver replies in request order —
+    so a pipelined driver that issued several waves via
+    :func:`send_all` harvests them one wave at a time, oldest first,
+    and reply ``i`` of each harvest is transport ``i``'s answer to its
+    request in that wave.
 
     ``deadlines`` optionally bounds each reply individually (monotonic
     timestamps, index-aligned — normally :func:`send_all`'s return
@@ -351,59 +336,17 @@ def harvest_all(
     raises :class:`TransportError` naming it.  ``timeout`` only labels
     that error with the originally requested budget.
     """
-    replies: List[object] = [None] * len(transports)
+    replies: List[object] = []
     limit = "its deadline" if timeout is None else f"{timeout:g}s"
-    selectable = len(transports) > 1 and all(
-        transport.fileno() is not None for transport in transports
-    )
-    if overlap and selectable:
-        own_selector = selector is None
-        if own_selector:
-            selector = selectors.DefaultSelector()
-            for index, transport in enumerate(transports):
-                selector.register(transport.fileno(), selectors.EVENT_READ, index)
+    for index, transport in enumerate(transports):
+        if deadlines is not None:
+            remaining = deadlines[index] - time.monotonic()
+            if remaining <= 0 or not transport.poll(remaining):
+                raise TransportError(f"shard {index}: no reply within {limit}")
         try:
-            pending = set(range(len(transports)))
-            while pending:
-                if deadlines is None:
-                    ready = selector.select()
-                else:
-                    now = time.monotonic()
-                    expired = sorted(
-                        index for index in pending if deadlines[index] <= now
-                    )
-                    if expired:
-                        raise TransportError(
-                            f"shard(s) {expired}: no reply within {limit}"
-                        )
-                    wait = min(deadlines[index] for index in pending) - now
-                    ready = selector.select(wait)
-                    if not ready:
-                        continue  # next pass raises for whoever expired
-                for key, _events in ready:
-                    index = key.data
-                    if index not in pending:
-                        continue
-                    try:
-                        replies[index] = transports[index].recv()
-                    except TransportError as error:
-                        raise TransportError(f"shard {index}: {error}") from None
-                    pending.discard(index)
-        finally:
-            if own_selector:
-                selector.close()
-    else:
-        for index, transport in enumerate(transports):
-            if deadlines is not None:
-                remaining = deadlines[index] - time.monotonic()
-                if remaining <= 0 or not transport.poll(remaining):
-                    raise TransportError(
-                        f"shard {index}: no reply within {limit}"
-                    )
-            try:
-                replies[index] = transport.recv()
-            except TransportError as error:
-                raise TransportError(f"shard {index}: {error}") from None
+            replies.append(transport.recv())
+        except TransportError as error:
+            raise TransportError(f"shard {index}: {error}") from None
     return replies
 
 
@@ -411,47 +354,31 @@ def exchange_all(
     transports: Sequence[Transport],
     requests: Sequence[object],
     *,
-    overlap: bool = True,
-    selector: Optional[selectors.BaseSelector] = None,
     timeout: Optional[float] = None,
 ) -> List[object]:
-    """One request/reply round trip with every shard, overlapped.
+    """One request/reply round trip with every shard.
 
     Sends ``requests[i]`` on ``transports[i]`` for all ``i`` *first*
-    (so every worker computes concurrently), then harvests replies.
-    With ``overlap=True`` (the default) and all transports selectable,
-    replies are collected **as they arrive** via a selector; otherwise
-    they are received in index order (lock-step harvest).  Either way
-    the returned list is index-aligned with the inputs — the caller
-    processes replies in canonical shard order, so traces do not
-    depend on arrival interleaving.  (:func:`send_all` and
-    :func:`harvest_all` are the two halves, exposed separately for
-    pipelined drivers that keep several waves in flight.)
-
-    ``selector`` optionally supplies a long-lived selector with every
-    transport already registered (data = its index); round-loop
-    drivers pass one so the per-exchange cost is a single poll, not a
-    register/unregister cycle.
+    (so every worker computes concurrently), then harvests one reply
+    per channel in index order; the returned list is index-aligned
+    with the inputs, so the caller processes replies in canonical
+    shard order.  (:func:`send_all` and :func:`harvest_all` are the
+    two halves, exposed separately for pipelined drivers that keep
+    several waves in flight.)
 
     ``timeout`` optionally bounds each reply: the deadline is stamped
     **per request at its send** (not once per call), so a reply's
     budget starts when its own request went out — a wedged or silent
     worker becomes a diagnosable :class:`TransportError` naming the
-    shards still owing a reply instead of a hang.  ``None`` (the
-    default) preserves the historical blocking harvest.
+    shard still owing a reply instead of a hang.  ``None`` (the
+    default) blocks until every reply arrives.
 
     Raises :class:`TransportError` (annotated with the shard index) as
     soon as any channel fails; remaining replies are left unread — the
     round is poisoned either way, and the owning backend fails closed.
     """
     deadlines = send_all(transports, requests, timeout=timeout)
-    return harvest_all(
-        transports,
-        overlap=overlap,
-        selector=selector,
-        deadlines=deadlines,
-        timeout=timeout,
-    )
+    return harvest_all(transports, deadlines=deadlines, timeout=timeout)
 
 
 # ----------------------------------------------------------------------

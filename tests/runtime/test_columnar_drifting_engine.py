@@ -16,10 +16,11 @@ inside one intern-cache window, and the lazy finalize views that keep
 teardown O(n) instead of O(n × width).
 """
 
-import time
+import contextlib
 
 import pytest
 
+from event_queue_oracle import heap_event_core
 from repro.core.columnar import ColumnarElector, numpy_available
 from repro.core.history import clear_intern_cache
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
@@ -105,7 +106,6 @@ def _run(
     record_snapshots=True,
     trace_mode="aggregate",
     payload_stats=False,
-    event_queue="calendar",
     clear=True,
 ):
     if clear:
@@ -119,7 +119,6 @@ def _run(
         trace_mode=trace_mode,
         payload_stats=payload_stats,
         engine=engine,
-        event_queue=event_queue,
     )
     trace = driver.run()
     return driver, trace
@@ -149,9 +148,9 @@ class TestDriftingEngineOptions:
 
     @pytest.mark.parametrize("event_queue", ["calendar", "heap"])
     def test_event_queues_agree(self, event_queue):
-        _assert_equivalent(
-            env="es-bernoulli", crashes=CRASHES, event_queue=event_queue
-        )
+        core = heap_event_core() if event_queue == "heap" else contextlib.nullcontext()
+        with core:
+            _assert_equivalent(env="es-bernoulli", crashes=CRASHES)
 
     @pytest.mark.parametrize("gst", [1, 4, 8])
     def test_gst_sweep(self, gst):
@@ -195,7 +194,7 @@ class TestDriftingEngineOptions:
         assert columnar.run() == reference_trace
         assert _final_views(columnar) == _final_views(reference)
 
-    def test_runner_event_queue_passthrough(self):
+    def test_runner_on_the_heap_oracle(self):
         clear_intern_cache()
         reference = run_es_consensus(
             [2, 0, 1],
@@ -205,14 +204,14 @@ class TestDriftingEngineOptions:
             engine="object",
         )
         clear_intern_cache()
-        heap = run_es_consensus(
-            [2, 0, 1],
-            gst=3,
-            max_rounds=40,
-            scheduler="drifting",
-            engine="columnar",
-            event_queue="heap",
-        )
+        with heap_event_core():
+            heap = run_es_consensus(
+                [2, 0, 1],
+                gst=3,
+                max_rounds=40,
+                scheduler="drifting",
+                engine="columnar",
+            )
         assert heap.trace == reference.trace
         assert heap.report == reference.report
         assert heap.metrics == reference.metrics
@@ -299,7 +298,12 @@ class TestTryBuildEligibility:
 
 
 class TestAmortization:
-    """Satellite: warm index reuse + lazy finalize views."""
+    """Warm index reuse + lazy finalize views, checked structurally.
+
+    The wall-clock side — a warmed 2-round columnar run beating the
+    object loop — is the ``short_run_columnar_vs_object_n1200`` floor
+    in ``scripts/check_perf.py``, measured by ``benchmarks/bench_micro.py``.
+    """
 
     def test_warm_index_shared_within_window(self):
         clear_intern_cache()
@@ -339,21 +343,3 @@ class TestAmortization:
                 tuple(history): count
                 for history, count in elector.counters.items()
             } == dict(ref.algorithm.elector.counters)
-
-    def test_short_run_overhead_bounded(self):
-        # the regression mode: fixed setup/finalize costs dominating a
-        # 2-round run.  With the warm index and lazy views a short
-        # columnar run must beat the object loop outright at a size
-        # where per-round work is already matrix-bound.
-        n, rounds = 1200, 2
-        clear_intern_cache()
-        _run("columnar", env="ms-silent-const", n=64, rounds=rounds, clear=False)
-        started = time.perf_counter()
-        _run(
-            "columnar", env="ms-silent-const", n=n, rounds=rounds, clear=False
-        )
-        columnar_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        _run("object", env="ms-silent-const", n=n, rounds=rounds, clear=False)
-        object_elapsed = time.perf_counter() - started
-        assert columnar_elapsed < object_elapsed

@@ -1,9 +1,10 @@
-"""The calendar event queue must drain exactly like the heap twin.
+"""The calendar event queue must drain exactly like the heap oracle.
 
-The kernel's default event core is now the bucketed
+The kernel's event core is the bucketed
 :class:`~repro.runtime.events.CalendarEventQueue`; its correctness
 contract is total-order equivalence with the historical ``heapq``
-implementation — ``(time, seq)`` ascending, FIFO among equal times —
+implementation (kept as ``tests/event_queue_oracle.py``) —
+``(time, seq)`` ascending, FIFO among equal times —
 under *any* interleaving of pushes and pops, including pushes behind
 the drain cursor (the drifting scheduler schedules a released
 process's next nominal end-of-round in the past relative to ``now``).
@@ -15,16 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from event_queue_oracle import HeapEventQueue, heap_event_core
 from repro.giraf.adversary import ConstantDelay, UniformDelay
 from repro.giraf.environments import MovingSourceEnvironment
 from repro.giraf.probes import EchoProbe
-from repro.runtime import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    RuntimeKernel,
-    calendar_width,
-)
+from repro.runtime import CalendarEventQueue, RuntimeKernel, calendar_width
 
 # a schedule is a list of operations: a float time (push at that time)
 # or None (pop).  Times are drawn from a coarse grid so equal
@@ -68,7 +64,7 @@ class TestDrainOrderEquivalence:
 
     def test_behind_cursor_pushes(self):
         """An event earlier than the bucket being drained pops next —
-        exactly the heap twin's behavior (a queue cannot un-pop)."""
+        exactly the heap oracle's behavior (a queue cannot un-pop)."""
         rng = random.Random(99)
         heap, calendar = HeapEventQueue(), CalendarEventQueue(1.0)
         seq = 0
@@ -132,28 +128,39 @@ class TestCalendarWidth:
 
 
 class TestKernelSelection:
-    def test_kernel_defaults_to_calendar_and_heap_is_selectable(self):
+    """The calendar queue is the kernel's only event core; tests swap
+    the heap oracle in through ``heap_event_core()``."""
+
+    def test_kernel_runs_on_the_calendar_and_the_oracle_swaps_in(self):
         environment = MovingSourceEnvironment()
-        default = RuntimeKernel([EchoProbe(0)], environment)
-        assert default.event_queue == "calendar"
-        assert isinstance(default._events, CalendarEventQueue)
-        heap = RuntimeKernel([EchoProbe(0)], environment, event_queue="heap")
-        assert isinstance(heap._events, HeapEventQueue)
+        kernel = RuntimeKernel([EchoProbe(0)], environment)
+        assert isinstance(kernel._events, CalendarEventQueue)
+        with heap_event_core():
+            oracle = RuntimeKernel([EchoProbe(0)], environment)
+        assert isinstance(oracle._events, HeapEventQueue)
+        assert isinstance(
+            RuntimeKernel([EchoProbe(0)], environment)._events,
+            CalendarEventQueue,
+        )
 
     def test_unknown_event_queue_rejected(self):
-        with pytest.raises(SimulationError):
+        # no event_queue= knob is left to select a core: passing one
+        # fails loudly instead of silently running on the calendar
+        with pytest.raises(TypeError, match="event_queue"):
             RuntimeKernel(
-                [EchoProbe(0)], MovingSourceEnvironment(), event_queue="wheelie"
+                [EchoProbe(0)], MovingSourceEnvironment(), event_queue="heap"
             )
 
+    def _drain_order(self):
+        kernel = RuntimeKernel([EchoProbe(0)], MovingSourceEnvironment())
+        kernel.schedule(1.0, "eor", ("a",))
+        kernel.schedule(1.0, "eor", ("b",))
+        kernel.schedule(0.5, "eor", ("c",))
+        order = [kernel.next_event()[2][0] for _ in range(3)]
+        assert not kernel.has_events()
+        return order
+
     def test_kernel_schedule_api_drains_in_order(self):
-        for event_queue in ("calendar", "heap"):
-            kernel = RuntimeKernel(
-                [EchoProbe(0)], MovingSourceEnvironment(), event_queue=event_queue
-            )
-            kernel.schedule(1.0, "eor", ("a",))
-            kernel.schedule(1.0, "eor", ("b",))
-            kernel.schedule(0.5, "eor", ("c",))
-            order = [kernel.next_event()[2][0] for _ in range(3)]
-            assert order == ["c", "a", "b"], event_queue
-            assert not kernel.has_events()
+        assert self._drain_order() == ["c", "a", "b"]
+        with heap_event_core():
+            assert self._drain_order() == ["c", "a", "b"]

@@ -15,6 +15,7 @@ Pins for this PR's unification:
 
 import pytest
 
+from event_queue_oracle import heap_event_core
 from repro.core.es_consensus import ESConsensus
 from repro.core.ess_consensus import ESSConsensus
 from repro.errors import SimulationError
@@ -154,28 +155,30 @@ def _drifting(trace_mode, *, payload_stats=False, crashes=None):
 class TestCalendarQueueEquivalence:
     """The calendar event core must not move a single event.
 
-    ``event_queue="calendar"`` (the default) and ``event_queue="heap"``
-    (the historical core) must produce **byte-identical** drifting
-    traces — same events, same times, same order — across the
-    MS/ES/ESS × link-policy grid, with and without crashes.
+    The kernel's calendar queue and the ``heapq`` oracle
+    (``tests/event_queue_oracle.py``, swapped into the kernel) must
+    produce **byte-identical** drifting traces — same events, same
+    times, same order — across the MS/ES/ESS × link-policy grid, with
+    and without crashes.
     """
 
     @pytest.mark.parametrize("policy_name,policy_factory", LINK_POLICIES)
     def test_drifting_traces_byte_identical(self, policy_name, policy_factory):
+        def run(environment_index, crashes):
+            return DriftingScheduler(
+                [ESConsensus(v) for v in [3, 1, 4, 1, 5]],
+                _environments(13, policy_factory)[environment_index],
+                crashes,
+                max_rounds=40,
+                stop_when=stop_when_all_correct_decided,
+            ).run()
+
         for environment_index in range(3):
             for crashes in (None, CrashSchedule({2: CrashPlan(3, before_send=True)})):
-                traces = [
-                    DriftingScheduler(
-                        [ESConsensus(v) for v in [3, 1, 4, 1, 5]],
-                        _environments(13, policy_factory)[environment_index],
-                        crashes,
-                        max_rounds=40,
-                        stop_when=stop_when_all_correct_decided,
-                        event_queue=event_queue,
-                    ).run()
-                    for event_queue in ("calendar", "heap")
-                ]
-                assert trace_to_json(traces[0]) == trace_to_json(traces[1]), (
+                calendar = run(environment_index, crashes)
+                with heap_event_core():
+                    heap = run(environment_index, crashes)
+                assert trace_to_json(calendar) == trace_to_json(heap), (
                     environment_index,
                     policy_name,
                     crashes is not None,
@@ -183,22 +186,8 @@ class TestCalendarQueueEquivalence:
 
     def test_aggregate_mode_identical_across_queues(self):
         calendar = _drifting("aggregate", payload_stats=True)
-        # _drifting uses the default (calendar); rebuild on the heap
-        heap = DriftingScheduler(
-            [ESSConsensus(v) for v in [7, 7, 2, 9]],
-            EventuallyStableSourceEnvironment(
-                stabilization_round=6,
-                preferred_source=0,
-                source_schedule=RandomSource(5),
-                link_policy=BernoulliLinks(0.4, seed=12),
-            ),
-            max_rounds=80,
-            periods=[1.0, 1.3, 1.9, 0.7],
-            stop_when=stop_when_all_correct_decided,
-            trace_mode="aggregate",
-            payload_stats=True,
-            event_queue="heap",
-        ).run()
+        with heap_event_core():
+            heap = _drifting("aggregate", payload_stats=True)
         assert trace_to_json(calendar) == trace_to_json(heap)
 
 

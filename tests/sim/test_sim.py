@@ -170,6 +170,19 @@ class TestChurnWorkload:
         )
         assert run.completed == 6
 
+    def test_serial_counts_its_wire_traffic_like_inproc(self):
+        runs = [
+            run_churn_workload(
+                n=3, shards=2, total_adds=8, seed=3, backend=backend
+            )
+            for backend in ("serial", "inproc")
+        ]
+        serial, inproc = runs
+        assert serial.frame_pairs > 0
+        assert serial.exchanges == inproc.exchanges
+        assert serial.frame_pairs == inproc.frame_pairs
+        assert serial.latencies == inproc.latencies
+
 
 class TestCrashChurnWorkload:
     """Process churn (crash schedules) on top of source churn."""

@@ -274,6 +274,57 @@ class TestMembershipSurface:
             with pytest.raises(SimulationError, match="last shard member"):
                 single.leave_shard(0)
 
+    def test_serial_shards_stay_live_across_membership_changes(self):
+        """``shards`` and ``traces()`` keep naming each slot's live
+        world after a join and after a leave."""
+        with _build("serial") as cluster:
+            cluster.begin_add(0, VALUES[0])
+            cluster.advance(EVENT_AT)
+
+            def assert_live():
+                traces = cluster.traces()
+                assert len(cluster.shards) == len(traces) == cluster.num_shards
+                for shard, trace in zip(cluster.shards, traces):
+                    assert shard.trace is trace
+                    assert shard.now == cluster.now
+                owner = cluster.shard_for(VALUES[0])
+                assert VALUES[0] in owner.algorithms[0].get_now()
+
+            cluster.join_shard()
+            assert_live()
+            cluster.advance(2)
+            cluster.leave_shard(0)
+            assert_live()
+
+    def test_serial_and_inproc_rebalance_alike(self):
+        """Serial runs the one transport rebalance: a join and then a
+        leave move and replay exactly what they move and replay on
+        inproc."""
+
+        def rebalances(backend):
+            with _build(backend) as cluster:
+                for pid, value in ((0, VALUES[0]), (1, VALUES[1]), (2, VALUES[2])):
+                    cluster.begin_add(pid, value)
+                cluster.advance(EVENT_AT)
+                changes = []
+                for change in (cluster.join_shard, lambda: cluster.leave_shard(2)):
+                    change()
+                    cluster.advance(3)
+                    stats = cluster.last_rebalance
+                    assert stats.moved_values == 1
+                    changes.append(
+                        (
+                            stats.joined,
+                            stats.left,
+                            stats.moved_values,
+                            stats.rebuilt_members,
+                            stats.replayed_ticks,
+                        )
+                    )
+                return changes, _snapshot(cluster)
+
+        assert rebalances("serial") == rebalances("inproc")
+
     def test_members_kwarg_conflicts_are_rejected(self):
         with pytest.raises(SimulationError, match="shards=3"):
             ShardedWeakSetCluster(N, shards=3, members=[0, 1])

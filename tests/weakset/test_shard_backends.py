@@ -4,8 +4,7 @@ The acceptance bar for the transport split: for a fixed seed, every
 transport backend — in-process behind the codec, one worker process
 per shard over pipes, workers over loopback TCP — must produce a
 byte-identical final weak-set trace to the serial backend: same shard
-worlds, same step sequence, same SHA-512-derived decisions, regardless
-of the overlapped harvest's arrival order.
+worlds, same step sequence, same SHA-512-derived decisions.
 
 Process-backed tests take the ``start_method`` fixture (see
 ``conftest.py``) so the module runs under both ``fork`` and ``spawn``.
@@ -22,7 +21,7 @@ from repro.giraf.adversary import CrashPlan, CrashSchedule
 from repro.serialization import trace_to_json
 from repro.sim.runner import run_churn_workload
 from repro.sim.workloads import ChurnEnvironments
-from repro.weakset.protocol import PROTOCOL_VERSION, HelloRequest
+from repro.weakset.protocol import PROTOCOL_VERSION, HelloRequest, ProtocolError
 from repro.weakset.sharding import (
     MultiprocessBackend,
     SerialBackend,
@@ -72,28 +71,6 @@ class TestBackendEquivalence:
             with build(backend) as cluster:
                 assert _drive(cluster) == serial_result, backend
                 assert _snapshot(cluster) == serial_traces, backend
-
-    def test_overlap_and_lockstep_harvests_agree(self):
-        """Arrival order must not leak into results: the overlapped
-        selector harvest and the fixed-order harvest are identical."""
-        def build(overlap):
-            backend = MultiprocessBackend(
-                4,
-                shards=3,
-                environment_factory=ChurnEnvironments(pattern="random", seed=9),
-                crash_schedule=None,
-                max_total_rounds=10_000,
-                trace_mode="full",
-                overlap=overlap,
-            )
-            return ShardedWeakSetCluster(4, shards=3, backend=backend)
-
-        with build(True) as overlapped:
-            overlapped_result = _drive(overlapped)
-            overlapped_traces = _snapshot(overlapped)
-        with build(False) as lockstep:
-            assert _drive(lockstep) == overlapped_result
-            assert _snapshot(lockstep) == overlapped_traces
 
     def test_equivalence_under_crashes(self, start_method):
         crashes = CrashSchedule({2: CrashPlan(3, before_send=True)})
@@ -552,6 +529,41 @@ class TestBackendClasses:
         )
         assert backend.traces()[0] is backend.clusters[0].trace
 
+    def test_serial_carries_values_outside_the_codec_universe(self):
+        """The serial channel is codec-free: a hashable with a content
+        ``repr`` but no registered codec travels there, while the
+        inproc backend's codec refuses it."""
+
+        class Tag:
+            def __init__(self, name):
+                self.name = name
+
+            def __repr__(self):
+                return f"Tag({self.name!r})"
+
+            def __eq__(self, other):
+                return isinstance(other, Tag) and other.name == self.name
+
+            def __hash__(self):
+                return hash(self.name)
+
+        with ShardedWeakSetCluster(3, shards=2) as serial:
+            serial.handle(0).add(Tag("a"))
+            assert serial.handle(1).get() == frozenset({Tag("a")})
+        with ShardedWeakSetCluster(3, shards=2, backend="inproc") as inproc:
+            with pytest.raises(ProtocolError, match="no codec for Tag"):
+                inproc.handle(0).add(Tag("a"))
+
+    def test_closed_serial_cluster_refuses_further_calls(self):
+        cluster = ShardedWeakSetCluster(3, shards=2)
+        cluster.advance(1)
+        cluster.close()
+        cluster.close()  # idempotent
+        with pytest.raises(SimulationError, match="already closed"):
+            cluster.advance(1)
+        with pytest.raises(SimulationError, match="already closed"):
+            cluster.begin_add(0, "late")
+
 
 class TestPipelinedWindow:
     """The pipelined driver: windows change timing, never bytes.
@@ -753,4 +765,12 @@ class TestPipelinedWindow:
         with pytest.raises(SimulationError, match="construction-time"):
             ShardedWeakSetCluster(
                 3, shards=2, backend=backend, worlds_per_worker=2
+            )
+        with pytest.raises(SimulationError, match="round_batch.*construction-time"):
+            ShardedWeakSetCluster(3, shards=2, backend=backend, round_batch=2)
+        with pytest.raises(SimulationError, match="frames.*construction-time"):
+            ShardedWeakSetCluster(3, shards=2, backend=backend, frames="json")
+        with pytest.raises(SimulationError, match="start_method.*construction-time"):
+            ShardedWeakSetCluster(
+                3, shards=2, backend=backend, start_method="spawn"
             )

@@ -1,9 +1,9 @@
-"""Transports and the overlapped exchange driver.
+"""Transports and the exchange driver.
 
 Covers the frame channels in isolation (framing over real byte
 streams, partial reads, peer-death semantics) and ``exchange_all``'s
-contract: replies are harvested as they arrive but returned in
-canonical input order.
+contract: replies come back in canonical input order whatever order
+the workers answer in.
 """
 
 import socket
@@ -67,6 +67,22 @@ class TestInProcTransport:
         transport.close()
         with pytest.raises(TransportError):
             transport.send(StopRequest())
+
+    def test_codec_free_channel_passes_objects_by_reference(self):
+        seen = []
+        reply = StopReply()
+
+        def handler(request):
+            seen.append(request)
+            return reply
+
+        transport = InProcTransport(handler, codec=None)
+        request = RoundRequest(adds=((0, 1, object()),))
+        transport.send(request)
+        assert transport.recv() is reply
+        # no codec: the handler got the caller's own object, uncodable
+        # value and all
+        assert len(seen) == 1 and seen[0] is request
 
     def test_uncodable_value_fails_at_send(self):
         from repro.weakset.protocol import ProtocolError
@@ -135,8 +151,8 @@ class TestSocketTransport:
 
 class TestExchangeAll:
     def test_replies_are_order_canonical_despite_arrival_order(self):
-        """Worker 0 replies *slowest*; the overlapped harvest must
-        still hand back replies[0] = worker 0's answer."""
+        """Worker 0 replies *slowest*; the harvest must still hand
+        back replies[0] = worker 0's answer."""
         parents, servers = zip(*(socket_pair() for _ in range(3)))
 
         def serve(index, transport):
@@ -153,7 +169,6 @@ class TestExchangeAll:
         replies = exchange_all(
             list(parents),
             [PeekRequest(pid=index) for index in range(3)],
-            overlap=True,
         )
         for thread in threads:
             thread.join(timeout=10)
@@ -169,20 +184,10 @@ class TestExchangeAll:
         replies = exchange_all(
             transports,
             [PeekRequest(pid=index) for index in range(3)],
-            overlap=False,
         )
         assert [reply.message for reply in replies] == [
             "pid=0", "pid=1", "pid=2",
         ]
-
-    def test_inproc_transports_fall_back_from_overlap(self):
-        """InProc channels are not selectable; overlap=True must still
-        work (sequential fallback), not crash on fileno()."""
-        transports = [InProcTransport(lambda r: StopReply()) for _ in range(2)]
-        replies = exchange_all(
-            transports, [StopRequest(), StopRequest()], overlap=True
-        )
-        assert replies == [StopReply(), StopReply()]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -248,13 +253,13 @@ class TestDeadlineBookkeeping:
                 timeout=0.05,
             )
 
-    def test_overlapped_harvest_times_out_only_the_late_shard(self):
+    def test_harvest_times_out_only_the_late_shard(self):
         left0, right0 = socket_pair()
         left1, right1 = socket_pair()
         right0.send(StopReply())  # shard 0's reply is already in flight
         now = time.monotonic()
         try:
-            with pytest.raises(TransportError, match=r"shard\(s\) \[1\]"):
+            with pytest.raises(TransportError, match="shard 1"):
                 harvest_all(
                     [left0, left1],
                     deadlines=[now + 5.0, now + 0.1],
