@@ -48,8 +48,10 @@ bench:
 	$(PYTHON) benchmarks/capture.py
 
 # Just the shard-execution benches: the churn quick shape on every
-# backend, the steady-state harvest over 4 pipe workers, and the
-# join-rebalance vs fresh-build pair.  See PERFORMANCE.md §5 and §10.
+# backend, the 200/800-add steady churn pair on the serial backend
+# (the churn_steady_linearity growth guard), the steady-state harvest
+# over 4 pipe workers, and the join-rebalance vs fresh-build pair.
+# See PERFORMANCE.md §4, §5 and §10.
 bench-shard:
 	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest or rebalance"
 

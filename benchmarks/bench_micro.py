@@ -504,6 +504,41 @@ def test_bench_churn_workload_serial(benchmark):
     assert run.completed == 12
 
 
+def _churn_steady(total_adds: int):
+    """A long churn stream on the serial backend: n=8 over 4 shards.
+
+    Algorithm 4 broadcasts each shard's whole ``PROPOSED`` set, so a
+    round's cost grows with the values a shard holds; the 200/800 pair
+    guards against a round whose cost grows with the run's *history*
+    too (the all-slot re-union the delta-fed line 15 replaced).  The
+    ``churn_steady_linearity`` ratio in ``capture.py`` reads 1.0 for a
+    perfectly linear stream and ~0.16 for the quadratic round.
+    """
+    from repro.sim.runner import run_churn_workload
+
+    return run_churn_workload(
+        n=8,
+        shards=4,
+        total_adds=total_adds,
+        adds_per_round=2,
+        pattern="random",
+        backend="serial",
+        seed=0,
+    )
+
+
+def test_bench_churn_steady_200(benchmark):
+    """200 adds, n=8, 4 shards, serial backend."""
+    run = benchmark.pedantic(_churn_steady, args=(200,), rounds=3, iterations=1)
+    assert run.completed == 200
+
+
+def test_bench_churn_steady_800(benchmark):
+    """The same stream at 4x the adds."""
+    run = benchmark.pedantic(_churn_steady, args=(800,), rounds=3, iterations=1)
+    assert run.completed == 800
+
+
 def test_bench_churn_workload_multiprocess(benchmark):
     """The same stream with one worker process per shard.
 

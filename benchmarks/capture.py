@@ -269,6 +269,13 @@ def main(argv=None) -> int:
         speedups["short_run_columnar_vs_object_n1200"] = round(
             object_cost / columnar_cost, 2
         )
+    # Growth guard: 4x the adds should cost about 4x the time.  The
+    # ratio reads 1.0 for a linear stream and falls toward 0.25 per
+    # doubling of growth order (0.16 with the all-slot re-union).
+    steady_200 = micro.get("test_bench_churn_steady_200")
+    steady_800 = micro.get("test_bench_churn_steady_800")
+    if steady_200 and steady_800:
+        speedups["churn_steady_linearity"] = round(4 * steady_200 / steady_800, 2)
     drifting = micro.get("test_bench_drifting_round_throughput")
     recorded = PR4_RECORDED_US.get("test_bench_drifting_round_throughput")
     if drifting and recorded:

@@ -113,6 +113,13 @@ SAME_RUN_FLOORS = [
         "history index or the lazy finalize views — regressed)",
     ),
     (
+        "churn_steady_linearity",
+        0.3,
+        "4x the adds on the n=8, 4-shard churn stream cost far more "
+        "than 4x the time (a round's cost grows with the run's "
+        "history again, as the all-slot Algorithm-4 re-union did)",
+    ),
+    (
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "

@@ -23,7 +23,7 @@ bookkeeping) and is invisible to the algorithm.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Mapping, Optional, Set
 
 from repro.errors import ProtocolMisuse
 from repro.giraf.messages import Envelope
@@ -38,12 +38,24 @@ class InboxView:
     the union ``⋃_{1 ≤ k' ≤ k} M_i[k']`` that Algorithm 4 (the weak-set
     implementation) reads in its line 15.  Late deliveries land in old
     slots, so both views can grow between rounds.
+
+    ``received_since_last_compute(k)`` is the part of that union that
+    is new since the previous ``compute``: every message that entered a
+    slot ``M[k']`` with ``k' ≤ k`` since then.  A view handed out by
+    :class:`GirafProcess` reads it from the process's delivery buffer;
+    a view built from a plain mapping has no record of earlier computes
+    and returns the whole ``received_up_to(k)``.
     """
 
-    __slots__ = ("_slots",)
+    __slots__ = ("_slots", "_fresh")
 
-    def __init__(self, slots: Mapping[int, Set[Hashable]]):
+    def __init__(
+        self,
+        slots: Mapping[int, Set[Hashable]],
+        fresh: Optional[List[AbstractSet[Hashable]]] = None,
+    ):
         self._slots = slots
+        self._fresh = fresh
 
     def received(self, k: int) -> FrozenSet[Hashable]:
         """The set of algorithm messages currently in slot ``M[k]``."""
@@ -56,6 +68,16 @@ class InboxView:
             if 1 <= slot_round <= k:
                 merged |= messages
         return frozenset(merged)
+
+    def received_since_last_compute(self, k: int) -> FrozenSet[Hashable]:
+        """Messages that entered ``M[1] ∪ … ∪ M[k]`` since the last compute.
+
+        Slots only grow, so ``received_up_to(k)`` equals this set united
+        with ``received_up_to(k - 1)`` as the previous compute saw it.
+        """
+        if self._fresh is None:
+            return self.received_up_to(k)
+        return frozenset().union(*self._fresh)
 
     def rounds_with_messages(self) -> FrozenSet[int]:
         """Round numbers whose slot is non-empty (diagnostics only)."""
@@ -110,16 +132,28 @@ class GirafProcess:
       ``send(⟨M[k], k⟩)``;
     * ``receive(⟨M, k⟩)``: merge ``M`` into slot ``M[k]``.
 
+    Beside the slots the process keeps a delivery buffer ``_fresh``,
+    the payloads that entered a slot ``M[k']`` with ``k' ≤ k`` since the
+    last ``end-of-round`` (``InboxView.received_since_last_compute``).
+    A delivery is appended when its round is not in the future; one for
+    a later round stays parked in its slot only, and ``end-of-round``
+    resets the buffer to the slot it has just reached (the own message
+    plus any early arrivals).  The buffer therefore never holds more
+    than one round's deliveries, whether or not the algorithm reads it.
+    Appending keeps a reference to the delivered set, so callers must
+    not mutate a payload after handing it over.
+
     The ``pid`` is simulation bookkeeping only (see module docstring).
     """
 
-    __slots__ = ("pid", "algorithm", "round", "_slots", "crashed")
+    __slots__ = ("pid", "algorithm", "round", "_slots", "_fresh", "crashed")
 
     def __init__(self, pid: int, algorithm: GirafAlgorithm):
         self.pid = pid
         self.algorithm = algorithm
         self.round: int = 0
         self._slots: Dict[int, Set[Hashable]] = {}
+        self._fresh: List[AbstractSet[Hashable]] = []
         self.crashed: bool = False
 
     # ------------------------------------------------------------------
@@ -153,14 +187,19 @@ class GirafProcess:
         if self.round == 0:
             message = self.algorithm.initialize()
         else:
-            message = self.algorithm.compute(self.round, InboxView(self._slots))
+            message = self.algorithm.compute(
+                self.round, InboxView(self._slots, self._fresh)
+            )
         if self.algorithm.halted:
             return None
 
         next_round = self.round + 1
-        self._slots.setdefault(next_round, set()).add(message)
+        slot = self._slots.setdefault(next_round, set())
+        slot.add(message)
         self.round = next_round
-        return Envelope(next_round, frozenset(self._slots[next_round]))
+        payload = frozenset(slot)
+        self._fresh = [payload]
+        return Envelope(next_round, payload)
 
     def receive(self, envelope: Envelope) -> None:
         """Fire the ``receive(⟨M, k⟩)`` input action.
@@ -171,7 +210,10 @@ class GirafProcess:
         """
         if self.crashed or self.halted:
             return
-        self._slots.setdefault(envelope.round_no, set()).update(envelope.payload)
+        round_no = envelope.round_no
+        self._slots.setdefault(round_no, set()).update(envelope.payload)
+        if round_no <= self.round:
+            self._fresh.append(envelope.payload)
 
     def receive_values(self, round_no: int, values: FrozenSet[Hashable]) -> None:
         """Merge several envelopes' worth of round-``round_no`` payloads.
@@ -184,6 +226,8 @@ class GirafProcess:
         if self.crashed or self.halted:
             return
         self._slots.setdefault(round_no, set()).update(values)
+        if round_no <= self.round:
+            self._fresh.append(values)
 
     def crash(self) -> None:
         """Crash the process (it never recovers)."""
@@ -193,8 +237,12 @@ class GirafProcess:
     # simulation-layer helpers
     # ------------------------------------------------------------------
     def inbox_view(self) -> InboxView:
-        """A read-only view of the inbox (checkers and tests only)."""
-        return InboxView(self._slots)
+        """A read-only view of the inbox (checkers and tests only).
+
+        ``received_since_last_compute`` on it reads the current round's
+        buffer: the delta the next ``compute`` would be handed.
+        """
+        return InboxView(self._slots, self._fresh)
 
     def has_computed(self, k: int) -> bool:
         """True when ``compute(k, ·)`` has already executed.

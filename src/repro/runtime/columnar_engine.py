@@ -163,6 +163,9 @@ def _install_final_views(
         if computed[pid]:
             algorithm._my_counter = int(my[pid])
             algorithm._max_counter = int(mx[pid])
+        # Inbox slots and the delivery buffer were never filled (the
+        # engine builds only from round-0 processes and never delivers
+        # into them), so both stay exact — empty — at any round.
         proc.round = final_rounds[pid]
 
 

@@ -344,11 +344,13 @@ def run_churn_workload(
         total_adds: adds to issue over the whole run.  Memory scales
             gently (the driver retains one small operation record plus
             one latency float per add; the backend holds O(in-flight)
-            control state), but wall-clock does not: Algorithm 4
+            control state).  Wall-clock grows faster: Algorithm 4
             broadcasts each shard's whole accumulated ``PROPOSED`` set
             every round, so per-round cost grows with the values a
             shard has absorbed — sharding (splitting the population K
-            ways) is what keeps long streams tractable.
+            ways) is what keeps long streams tractable.  It does not
+            grow with the run's history: ``compute`` reads only the
+            messages delivered since its last call.
         adds_per_round: target issue rate (the offered load).
         pattern: source-movement churn pattern, one of
             :data:`repro.sim.workloads.CHURN_PATTERNS`.

@@ -19,13 +19,28 @@ Pseudocode correspondence (paper's listing)::
       BLOCK := true; wait until BLOCK = false         lines 10–11
     on compute(k, M):                                 compute()
       WRITTEN := ∩_{m ∈ M[k]} m                       line 14
-      PROPOSED := (∪_{m ∈ M[k'], 1≤k'≤k} m) ∪ PROPOSED line 15
+      PROPOSED := (∪_{m ∈ M[k'], 1≤k'≤k} m) ∪ PROPOSED line 15 (as a delta)
       if VAL ∈ WRITTEN: BLOCK := false                line 16
       return PROPOSED                                 line 17
 
 Note line 15 unions over **all** round slots, so late deliveries
 matter here — unlike the consensus algorithms, which only read the
-current slot.  The blocking ``wait`` of line 11 is realized by the
+current slot.  :meth:`MSWeakSetAlgorithm.compute` does not rebuild that
+union every round: it unites ``PROPOSED`` with only the messages that
+entered a slot ``M[k']``, ``k' ≤ k``, since its previous compute
+(:meth:`~repro.giraf.automaton.InboxView.received_since_last_compute`).
+The result is the literal line 15, exactly.  Slots only grow, so a
+message in ``M[1..k]`` at ``compute(k)`` either was in ``M[1..k-1]``
+when ``compute(k-1)`` ran, which already put it into ``PROPOSED``, or
+it is in the delta: it arrived in an old slot or in ``M[k]`` since, or
+it sat in ``M[k]`` when the process entered round ``k`` (the automaton
+seeds the delta with that slot).  The union is idempotent and
+``PROPOSED`` never shrinks, so uniting with the delta gives the same
+set.  The literal form survives as the test oracle
+``tests/weakset_union_oracle.py``, pinned to this one run for run.
+When the delta brings nothing new, ``PROPOSED`` keeps its object.
+
+The blocking ``wait`` of line 11 is realized by the
 driver (:func:`run_ms_weakset` / the cluster facade in
 :mod:`repro.weakset.cluster`): GIRAF hooks must not block, so the
 algorithm exposes ``blocked`` state and the driver advances rounds
@@ -107,10 +122,10 @@ class MSWeakSetAlgorithm(GirafAlgorithm):
     def compute(self, k: int, inbox: InboxView) -> FrozenSet[Hashable]:
         messages = inbox.received(k)
         self.written = _intersect_all(messages)           # line 14
-        merged: set = set()
-        for message in inbox.received_up_to(k):           # line 15: every slot,
-            merged |= message                             # flattening each m
-        self.proposed = frozenset(merged) | self.proposed
+        delta = inbox.received_since_last_compute(k)      # line 15, fed the
+        merged = self.proposed.union(*delta)              # slots' delta only
+        if len(merged) != len(self.proposed):
+            self.proposed = merged
         if self.val in self.written:                      # line 16
             self.block = False
         return self.proposed                              # line 17

@@ -126,6 +126,129 @@ class TestInboxView:
         view = InboxView({1: {"a"}, 2: set()})
         assert view.rounds_with_messages() == frozenset({1})
 
+    def test_plain_mapping_delta_falls_back_to_received_up_to(self):
+        # a view without a delivery buffer has seen no earlier compute
+        slots = {1: {"a"}, 2: {"b", "c"}, 4: {"d"}, 0: {"x"}}
+        view = InboxView(slots)
+        for k in range(6):
+            assert view.received_since_last_compute(k) == view.received_up_to(k)
+
+
+class DeltaRecorder(GirafAlgorithm):
+    """Records the delta every compute is handed; broadcasts ('r', k)."""
+
+    def __init__(self):
+        super().__init__()
+        self.deltas = {}
+
+    def initialize(self):
+        return ("r", 1)
+
+    def compute(self, k, inbox):
+        self.deltas[k] = inbox.received_since_last_compute(k)
+        return ("r", k + 1)
+
+
+class Silent(GirafAlgorithm):
+    """Never reads its inbox."""
+
+    def initialize(self):
+        return "m"
+
+    def compute(self, k, inbox):
+        return "m"
+
+
+def _advance_to(proc, round_no):
+    while proc.round < round_no:
+        proc.end_of_round()
+
+
+class TestDeliveryBuffer:
+    def test_late_delivery_is_in_exactly_the_next_delta(self):
+        proc = GirafProcess(0, DeltaRecorder())
+        _advance_to(proc, 3)                    # compute(1), compute(2) ran
+        proc.receive(Envelope(1, frozenset({"late"})))
+        proc.end_of_round()                     # compute(3)
+        proc.end_of_round()                     # compute(4)
+        deltas = proc.algorithm.deltas
+        assert "late" in deltas[3]
+        assert all("late" not in deltas[k] for k in (1, 2, 4))
+
+    def test_late_batched_delivery_is_in_the_next_delta(self):
+        proc = GirafProcess(0, DeltaRecorder())
+        _advance_to(proc, 3)
+        proc.receive_values(2, frozenset({"late"}))
+        proc.end_of_round()
+        proc.end_of_round()
+        deltas = proc.algorithm.deltas
+        assert "late" in deltas[3]
+        assert "late" not in deltas[4]
+
+    def test_future_delivery_waits_for_its_round(self):
+        proc = GirafProcess(0, DeltaRecorder())
+        proc.end_of_round()                     # round 1
+        proc.receive(Envelope(3, frozenset({"early"})))
+        proc.receive_values(4, frozenset({"earlier"}))
+        _advance_to(proc, 6)                    # compute(1..5)
+        deltas = proc.algorithm.deltas
+        assert [k for k in deltas if "early" in deltas[k]] == [3]
+        assert [k for k in deltas if "earlier" in deltas[k]] == [4]
+
+    def test_delta_holds_own_message_and_current_round_arrivals(self):
+        proc = GirafProcess(0, DeltaRecorder())
+        proc.end_of_round()
+        proc.receive(Envelope(1, frozenset({"now"})))
+        proc.end_of_round()
+        assert proc.algorithm.deltas[1] == frozenset({("r", 1), "now"})
+
+    def test_deltas_cover_the_all_slot_union(self):
+        # slots only grow: the deltas seen so far unite to received_up_to
+        proc = GirafProcess(0, DeltaRecorder())
+        proc.end_of_round()
+        for k in range(1, 12):
+            proc.receive(Envelope(max(1, k - 3), frozenset({("late", k)})))
+            proc.receive(Envelope(k + 2, frozenset({("early", k)})))
+            proc.end_of_round()
+            seen = frozenset().union(*proc.algorithm.deltas.values())
+            assert seen == proc.inbox_view().received_up_to(k)
+
+    def test_crashed_process_never_buffers(self):
+        proc = GirafProcess(0, DeltaRecorder())
+        _advance_to(proc, 2)
+        proc.crash()
+        proc.receive(Envelope(1, frozenset({"lost"})))
+        proc.receive_values(2, frozenset({"lost"}))
+        proc.receive(Envelope(3, frozenset({"lost"})))
+        view = proc.inbox_view()
+        assert "lost" not in view.received_since_last_compute(proc.round)
+        assert "lost" not in view.received_up_to(3)
+
+    def test_halted_process_never_buffers(self):
+        proc = GirafProcess(0, HaltsAtTwo())
+        _advance_to(proc, 2)
+        proc.end_of_round()                     # compute(2) halts
+        assert proc.halted
+        proc.receive(Envelope(1, frozenset({"lost"})))
+        proc.receive_values(2, frozenset({"lost"}))
+        view = proc.inbox_view()
+        assert "lost" not in view.received_since_last_compute(proc.round)
+        assert "lost" not in view.received_up_to(3)
+
+    def test_buffer_stays_one_round_deep_when_never_read(self):
+        proc = GirafProcess(0, Silent())
+        proc.end_of_round()
+        for k in range(1, 1001):
+            proc.receive(Envelope(k, frozenset({("now", k)})))
+            proc.receive_values(max(1, k - 5), frozenset({("late", k)}))
+            proc.receive(Envelope(k + 3, frozenset({("early", k)})))
+            # the own-round seed plus this round's two non-future deliveries
+            assert len(proc._fresh) <= 3
+            proc.end_of_round()
+        assert proc.round == 1001
+        assert len(proc._fresh) == 1
+        assert len(proc.inbox_view().received_since_last_compute(proc.round)) <= 2
+
 
 class TestStatePredicates:
     def test_has_computed(self):
