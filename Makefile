@@ -8,15 +8,17 @@ test:
 	$(PYTHON) -m pytest -q
 
 # Columnar suite alone: the counter-twin property tests, the counter
-# oracle suite they share their reference with, and the
-# engine-equivalence pins.  Run it twice — plain, and again with
-# REPRO_NO_NUMPY=1 — to cover both array backends (CI does exactly
-# that; the numpy-masked run exercises the pure-stdlib fallback).
+# oracle suite they share their reference with, the engine-equivalence
+# pins, and the numpy tick's tracemalloc memory guard.  Run it twice —
+# plain, and again with REPRO_NO_NUMPY=1 — to cover both array backends
+# (CI does exactly that; the numpy-masked run exercises the pure-stdlib
+# fallback, where the memory guard skips).
 test-columnar:
 	$(PYTHON) -m pytest -q tests/core/test_columnar.py \
 		tests/core/test_counter_oracle.py \
 		tests/runtime/test_columnar_engine.py \
-		tests/runtime/test_columnar_drifting_engine.py
+		tests/runtime/test_columnar_drifting_engine.py \
+		tests/runtime/test_columnar_tick_memory.py
 
 # Chaos suite: the fault-injection and crash-recovery tests alone —
 # seeded FaultPlans (fixed in the test files, so every run replays the

@@ -233,6 +233,16 @@ def test_bench_aggregate_round_columnar_n10k(benchmark):
     assert trace.agg_sends > 0
 
 
+def test_bench_aggregate_round_columnar_n10k_r24(benchmark):
+    """The columnar engine on the 24-round n=10,000 shape: the counter
+    matrix widens to ~200 columns, so the per-tick matrix passes (not
+    set-up) dominate — the regime the fused tick is measured in."""
+    trace = benchmark.pedantic(
+        _heartbeat_lockstep, args=(10_000, "columnar", 24), rounds=3, iterations=1
+    )
+    assert trace.agg_sends > 0
+
+
 def _heartbeat_drifting(n: int, engine: str, rounds: int):
     """The drifting twin of ``_heartbeat_lockstep``: the same S1
     anonymity regime driven by the event loop — per-process nominal

@@ -73,6 +73,8 @@ from repro.core.history import (
 
 __all__ = [
     "BACKENDS",
+    "COUNTER_DTYPE",
+    "COUNTER_MAX",
     "numpy_available",
     "default_backend",
     "HistoryIndex",
@@ -94,6 +96,16 @@ if not os.environ.get("REPRO_NO_NUMPY"):
         _np = None
 
 BACKENDS = ("numpy", "python")
+
+#: Counter storage dtype of every numpy row and matrix (one dtype, so
+#: rows never mix).  32 bits suffice: a counter grows by at most 1 per
+#: round, so it is bounded by the rounds a run executes — the matrix
+#: engines decline runs whose ``max_rounds`` could pass
+#: :data:`COUNTER_MAX`.  The pure-Python backend keeps ``array('q')``.
+COUNTER_DTYPE = _np.int32 if _np is not None else None
+
+#: Largest count a numpy counter row holds.
+COUNTER_MAX = 2**31 - 1
 
 
 def numpy_available() -> bool:
@@ -236,7 +248,7 @@ class HistoryIndex:
 
 def _zeros(width: int, backend: str):
     if backend == "numpy":
-        return _np.zeros(width, dtype=_np.int64)
+        return _np.zeros(width, dtype=COUNTER_DTYPE)
     return array("q", bytes(8 * width))
 
 
@@ -249,11 +261,19 @@ def _row_from_map(
     indistinguishable from an absent history under the paper's sparse
     semantics (it can never survive a minimum and never win a prefix
     maximum), which is exactly how the object-path merge treats them.
+    A count past :data:`COUNTER_MAX` cannot be stored in a numpy row
+    and raises :class:`ValueError`.
     """
     row = _zeros(width, backend)
     intern = index.intern
+    numpy = backend == "numpy"
     for history, count in mapping.items():
         if count > 0:
+            if numpy and count > COUNTER_MAX:
+                raise ValueError(
+                    f"counter value {count} does not fit the int32 counter "
+                    f"columns (max {COUNTER_MAX})"
+                )
             row[intern(history)] = count
     return row
 
@@ -395,10 +415,10 @@ class CounterColumns:
 
     The whole-round engine's store: row ``i`` is process ``i``'s
     counter map, columns are :class:`HistoryIndex` ids.  The numpy
-    backend keeps one 2-D int64 array (capacity-doubled as the index
-    grows, so per-round widening is amortized O(1) per cell); the
-    pure-Python backend keeps one ``array('q')`` per row, padded to
-    the current width.
+    backend keeps one 2-D :data:`COUNTER_DTYPE` (int32) array
+    (capacity-doubled as the index grows, so per-round widening is
+    amortized O(1) per cell); the pure-Python backend keeps one
+    ``array('q')`` per row, padded to the current width.
 
     The engine computes directly on the backing storage (``data`` /
     ``rows``) — this class owns allocation and sparse import/export,
@@ -417,7 +437,7 @@ class CounterColumns:
         self.backend = _resolve_backend(backend)
         self._width = 0
         if self.backend == "numpy":
-            self.data = _np.zeros((n, 8), dtype=_np.int64)
+            self.data = _np.zeros((n, 8), dtype=COUNTER_DTYPE)
             self.rows = None
         else:
             self.data = None
@@ -436,7 +456,7 @@ class CounterColumns:
             capacity = self.data.shape[1]
             if width > capacity:
                 grown = _np.zeros(
-                    (self.n, max(width, 2 * capacity)), dtype=_np.int64
+                    (self.n, max(width, 2 * capacity)), dtype=COUNTER_DTYPE
                 )
                 grown[:, :capacity] = self.data
                 self.data = grown
@@ -454,21 +474,19 @@ class CounterColumns:
         return _map_from_row(self.rows[i], self.index)
 
     def set_row_map(self, i: int, mapping: Mapping[History, int]) -> None:
-        """Load row ``i`` from a sparse map (clearing it first)."""
+        """Load row ``i`` from a sparse map (clearing it first).
+
+        Raises :class:`ValueError` (leaving the row untouched) when a
+        count does not fit the numpy backend's :data:`COUNTER_DTYPE`.
+        """
         for history in mapping:
             self.index.intern(history)
         self.ensure_width(self.index.width)
-        intern = self.index.intern
+        row = _row_from_map(mapping, self.index, self.backend, self._width)
         if self.backend == "numpy":
-            self.data[i, : self._width] = 0
-            row = self.data[i]
+            self.data[i, : self._width] = row
         else:
-            row = self.rows[i]
-            for col in range(len(row)):
-                row[col] = 0
-        for history, count in mapping.items():
-            if count > 0:
-                row[intern(history)] = count
+            self.rows[i][:] = row
 
 
 class ColumnarElector:
@@ -527,11 +545,7 @@ class ColumnarElector:
         counters = dict(getattr(elector, "_counters", None) or {})
         for history in counters:
             index.intern(history)
-        row = _zeros(index.width, clone._backend)
-        for history, count in counters.items():
-            if count > 0:
-                row[index.intern(history)] = count
-        clone._row = row
+        clone._row = _row_from_map(counters, index, clone._backend, index.width)
         return clone
 
     # -- internals ------------------------------------------------------

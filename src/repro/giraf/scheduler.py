@@ -34,6 +34,7 @@ algorithms.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
@@ -47,6 +48,8 @@ from repro.runtime.kernel import RuntimeKernel, StopPredicate
 __all__ = ["LockStepScheduler", "DriftingScheduler"]
 
 RoundHook = Callable[[int], None]
+
+_logger = logging.getLogger(__name__)
 
 
 def _swap_columnar_electors(processes: Sequence[GirafProcess]) -> None:
@@ -66,6 +69,21 @@ def _swap_columnar_electors(processes: Sequence[GirafProcess]) -> None:
         hook = getattr(proc.algorithm, "use_columnar", None)
         if hook is not None:
             hook(index, backend)
+
+
+def _fall_back_to_electors(
+    scheduler: str, processes: Sequence[GirafProcess], reason: Optional[str]
+) -> str:
+    """Swap in per-process columnar electors after the matrix engine
+    declined; log the decline and return the run's ``engine_path``."""
+    _swap_columnar_electors(processes)
+    _logger.debug(
+        "%s: columnar matrix engine declined (%s); using per-process electors",
+        scheduler,
+        reason,
+        extra={"engine_path": f"electors: {reason}"},
+    )
+    return f"electors: {reason}"
 
 
 class LockStepScheduler:
@@ -141,6 +159,7 @@ class LockStepScheduler:
         self.processes = self._kernel.processes
         self._tick = 0
         self._columnar_engine = None
+        self._engine_path = "object"
         if self._kernel.columnar:
             from repro.runtime.columnar_engine import ColumnarLockStepEngine
 
@@ -151,12 +170,33 @@ class LockStepScheduler:
                 on_round=on_round,
             )
             if self._columnar_engine is None:
-                _swap_columnar_electors(self.processes)
+                self._engine_path = _fall_back_to_electors(
+                    "LockStepScheduler",
+                    self.processes,
+                    ColumnarLockStepEngine.decline_reason(
+                        self._kernel, environment, on_round=on_round
+                    ),
+                )
+            else:
+                self._engine_path = "matrix"
 
     @property
     def trace(self) -> RunTrace:
         """The trace being built (created lazily on first access)."""
         return self._kernel.trace
+
+    @property
+    def engine_path(self) -> str:
+        """The engine path this run takes.
+
+        ``"matrix"`` when ``engine="columnar"`` engaged the whole-run
+        matrix engine, ``"electors: <reason>"`` when that engine
+        declined and per-process columnar electors run instead, and
+        ``"object"`` for ``engine="object"``.  Not part of the
+        :class:`~repro.giraf.traces.RunTrace`: both engines produce the
+        same trace.
+        """
+        return self._engine_path
 
     @property
     def now(self) -> float:
@@ -447,6 +487,7 @@ class DriftingScheduler:
         self._periods = list(periods)
         self._phases = list(phases)
         self._columnar_engine = None
+        self._engine_path = "object"
         if self._kernel.columnar:
             from repro.runtime.columnar_engine import ColumnarDriftingEngine
 
@@ -461,12 +502,31 @@ class DriftingScheduler:
                 # Outside the matrix engine's regime the columnar win
                 # is the elector level: per-process rows over one
                 # shared index.
-                _swap_columnar_electors(self.processes)
+                self._engine_path = _fall_back_to_electors(
+                    "DriftingScheduler",
+                    self.processes,
+                    ColumnarDriftingEngine.decline_reason(self._kernel, environment),
+                )
+            else:
+                self._engine_path = "matrix"
 
     @property
     def trace(self) -> RunTrace:
         """The trace being built (created lazily on first access)."""
         return self._kernel.trace
+
+    @property
+    def engine_path(self) -> str:
+        """The engine path this run takes.
+
+        ``"matrix"`` when ``engine="columnar"`` engaged the whole-run
+        matrix engine, ``"electors: <reason>"`` when that engine
+        declined and per-process columnar electors run instead, and
+        ``"object"`` for ``engine="object"``.  Not part of the
+        :class:`~repro.giraf.traces.RunTrace`: both engines produce the
+        same trace.
+        """
+        return self._engine_path
 
     # ------------------------------------------------------------------
     def run(self) -> RunTrace:

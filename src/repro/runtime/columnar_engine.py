@@ -46,7 +46,10 @@ scheduler (``tests/runtime/test_columnar_engine.py``):
   ``plan_round_links`` boolean rows and ``delay_ticks_row`` delay rows
   directly (with a constant-delay arithmetic shortcut when the policy
   declares fixed bounds), so no per-envelope object exists anywhere on
-  the path.
+  the path; under stock :class:`~repro.giraf.environments.SilentLinks`
+  on a tick whose lates are all dropped (constant delay past the
+  horizon or never delivered), no link plan is drawn at all — only the
+  obligatory delivery count remains.
 
 Trace bookkeeping (round entries, compute times, aggregate counters,
 optional snapshots and payload statistics) is emitted in the object
@@ -64,6 +67,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columnar import (
+    COUNTER_MAX,
     ColumnarElector,
     CounterColumns,
     HistoryIndex,
@@ -73,7 +77,7 @@ from repro.core.columnar import (
 from repro.core.history import register_clear_hook
 from repro.core.pseudo_leader import HeartbeatPseudoLeader, PseudoLeaderElector
 from repro.giraf.adversary import NEVER_DELIVERED
-from repro.giraf.environments import Environment
+from repro.giraf.environments import Environment, SilentLinks
 from repro.giraf.messages import payload_size
 
 __all__ = [
@@ -167,6 +171,32 @@ def _install_final_views(
         # engine builds only from round-0 processes and never delivers
         # into them), so both stay exact — empty — at any round.
         proc.round = final_rounds[pid]
+
+
+def _heartbeat_decline(kernel) -> Optional[str]:
+    """The eligibility both matrix engines share, as a decline reason.
+
+    ``None`` when every process is a round-0 stock heartbeat
+    pseudo-leader in its initial state and the run is short enough for
+    :data:`~repro.core.columnar.COUNTER_DTYPE` counters (a counter grows
+    by at most 1 per round).
+    """
+    if kernel.max_rounds >= COUNTER_MAX:
+        return f"max_rounds {kernel.max_rounds} reaches the int32 counter bound"
+    for algorithm in kernel.algorithms:
+        if type(algorithm) is not HeartbeatPseudoLeader:
+            return f"algorithm {type(algorithm).__name__} is not a stock heartbeat"
+        elector = algorithm.elector
+        if type(elector) is not PseudoLeaderElector:
+            return f"elector {type(elector).__name__} is not stock"
+        if not getattr(elector, "_inherit_prefixes", True):
+            return "prefix inheritance disabled"
+        if elector._counters or len(elector.history) != 1:
+            return "elector past its initial state"
+    for proc in kernel.processes:
+        if proc.round != 0 or proc.crashed or proc.halted:
+            return "process past its initial state"
+    return None
 
 
 class ColumnarLockStepEngine:
@@ -292,6 +322,14 @@ class ColumnarLockStepEngine:
             bounds = environment.delay_policy.delay_bounds()
             if bounds is not None and bounds[0] == bounds[1]:
                 self._const_delay = bounds[0]
+        # Silent-link shortcut: when no non-obligatory link can ever be
+        # timely, a tick that also drops every late delivery needs no
+        # link plan at all — extra senders contribute nothing.
+        self._silent_links = (
+            type(environment.link_policy) is SilentLinks
+            and env_type.plan_round_links is Environment.plan_round_links
+            and env_type.extra_timely is Environment.extra_timely
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -305,22 +343,18 @@ class ColumnarLockStepEngine:
         swaps per-process columnar electors instead, keeping
         ``engine="columnar"`` meaningful for every run).
         """
-        if not kernel.aggregate or on_round is not None:
+        if cls.decline_reason(kernel, environment, on_round=on_round) is not None:
             return None
-        for algorithm in kernel.algorithms:
-            if type(algorithm) is not HeartbeatPseudoLeader:
-                return None
-            elector = algorithm.elector
-            if type(elector) is not PseudoLeaderElector:
-                return None
-            if not getattr(elector, "_inherit_prefixes", True):
-                return None
-            if elector._counters or len(elector.history) != 1:
-                return None
-        for proc in kernel.processes:
-            if proc.round != 0 or proc.crashed or proc.halted:
-                return None
         return cls(kernel, environment, record_snapshots=record_snapshots)
+
+    @classmethod
+    def decline_reason(cls, kernel, environment, *, on_round=None) -> Optional[str]:
+        """Why :meth:`try_build` returns ``None`` (``None`` when it builds)."""
+        if not kernel.aggregate:
+            return "trace_mode is not aggregate"
+        if on_round is not None:
+            return "on_round hook set"
+        return _heartbeat_decline(kernel)
 
     # ------------------------------------------------------------------
     # activity bookkeeping
@@ -400,16 +434,27 @@ class ColumnarLockStepEngine:
         active_np = self._active_np
         hist_col = self._hist_col
         oblig, extras = self._pending
+        n = self._n
 
-        # Carry every row over (crashed rows stay frozen across the
-        # double-buffer swap), then fold the round's messages in.
-        Nd[:, :width] = Cd[:, :width]
+        # Fold the round's messages in.  With every process active the
+        # carry-over and the obligatory minimum are one fused pass;
+        # with crashed rows present every row is carried over first
+        # (crashed rows stay frozen across the double-buffer swap) and
+        # only active rows take the minimum.
+        cur = Nd[:, :width]
+        all_active = self._active_count == n
+        shared = None
         if oblig:
             if len(oblig) == 1:
                 shared = Cd[oblig[0], :width]
             else:
                 shared = Cd[np.array(oblig), :width].min(axis=0)
-            Nd[act, :width] = np.minimum(Cd[act, :width], shared)
+        if all_active and shared is not None:
+            np.minimum(Cd[:, :width], shared, out=cur)
+        else:
+            cur[...] = Cd[:, :width]
+            if shared is not None:
+                Nd[act, :width] = np.minimum(Cd[act, :width], shared)
         for sender, mask in extras:
             hit = mask & active_np
             if hit.any():
@@ -420,7 +465,6 @@ class ColumnarLockStepEngine:
         # simultaneous batch assignment — a bump column can be another
         # bump's ancestor).
         masks: Dict[int, object] = {}
-        n = self._n
 
         def mask_for(col: int):
             mask = masks.get(col)
@@ -448,10 +492,17 @@ class ColumnarLockStepEngine:
         for rows, col, values in writes:
             Nd[rows, col] = values
 
-        # Leadership + the pre-append my/max capture, vectorized.
-        sub = Nd[act, :width]
-        own_cols = hist_col[act]
-        own = sub[np.arange(len(act)), own_cols]
+        # Leadership + the pre-append my/max capture, vectorized.  With
+        # every process active the rows are read in place (no gather),
+        # so ``_round_rows`` is a view into the buffer that becomes
+        # ``C`` below.  Its only readers are ``_emit_snapshots`` and
+        # ``_emit_payload_stats`` in this same tick; the next compute
+        # only reads that buffer, and the one after overwrites it.
+        if all_active:
+            sub, own_cols = cur, hist_col
+        else:
+            sub, own_cols = Nd[act, :width], hist_col[act]
+        own = sub[np.arange(len(own_cols)), own_cols]
         row_max = sub.max(axis=1)
         leader_now = own >= row_max
         prev = self._leader[act]
@@ -700,21 +751,25 @@ class ColumnarLockStepEngine:
         for sender in oblig_senders:
             deliveries += receiver_count - (1 if active[sender] else 0)
 
-        extra_senders = [pid for pid in fired if pid not in obligatory]
-        link_rows: Dict[int, List[bool]] = {}
-        if extra_senders and receivers:
-            link_rows = environment.plan_round_links(tick, extra_senders, receivers)
-
-        extras_store = []
         const_delay = self._const_delay
         late_counts = self._late_counts
         max_rounds = kernel.max_rounds
         # With a constant delay past the horizon (or the never-delivered
         # sentinel) every late is dropped at queue time — senders whose
-        # link row is all-false then contribute nothing at all.
+        # link row is all-false then contribute nothing at all, and
+        # under silent links that is every extra sender.
         drop_all_late = const_delay is not None and (
             tick + const_delay > max_rounds or const_delay >= NEVER_DELIVERED
         )
+        if drop_all_late and self._silent_links:
+            extra_senders: List[int] = []
+        else:
+            extra_senders = [pid for pid in fired if pid not in obligatory]
+        link_rows: Dict[int, List[bool]] = {}
+        if extra_senders and receivers:
+            link_rows = environment.plan_round_links(tick, extra_senders, receivers)
+
+        extras_store = []
         # Link policies may share one row object across senders (the
         # all-false silent row does); cache its true positions once.
         positions_cache: Dict[int, List[int]] = {}
@@ -974,29 +1029,8 @@ class ColumnarDriftingEngine:
         electors, keeping ``engine="columnar"`` meaningful for every
         run).
         """
-        if not kernel.aggregate or kernel.payload_stats:
+        if cls.decline_reason(kernel, environment) is not None:
             return None
-        env_type = type(environment)
-        if (
-            env_type.timely_latency is not Environment.timely_latency
-            or env_type.late_latency is not Environment.late_latency
-            or env_type.timely_latencies is not Environment.timely_latencies
-            or env_type.late_latencies is not Environment.late_latencies
-        ):
-            return None
-        for algorithm in kernel.algorithms:
-            if type(algorithm) is not HeartbeatPseudoLeader:
-                return None
-            elector = algorithm.elector
-            if type(elector) is not PseudoLeaderElector:
-                return None
-            if not getattr(elector, "_inherit_prefixes", True):
-                return None
-            if elector._counters or len(elector.history) != 1:
-                return None
-        for proc in kernel.processes:
-            if proc.round != 0 or proc.crashed or proc.halted:
-                return None
         return cls(
             kernel,
             environment,
@@ -1004,6 +1038,23 @@ class ColumnarDriftingEngine:
             phases=phases,
             record_snapshots=record_snapshots,
         )
+
+    @classmethod
+    def decline_reason(cls, kernel, environment) -> Optional[str]:
+        """Why :meth:`try_build` returns ``None`` (``None`` when it builds)."""
+        if not kernel.aggregate:
+            return "trace_mode is not aggregate"
+        if kernel.payload_stats:
+            return "payload statistics requested"
+        env_type = type(environment)
+        if (
+            env_type.timely_latency is not Environment.timely_latency
+            or env_type.late_latency is not Environment.late_latency
+            or env_type.timely_latencies is not Environment.timely_latencies
+            or env_type.late_latencies is not Environment.late_latencies
+        ):
+            return "latency draws overridden"
+        return _heartbeat_decline(kernel)
 
     # ------------------------------------------------------------------
     # planning closures of the object loop, as methods

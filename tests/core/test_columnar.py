@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import (
     BACKENDS,
+    COUNTER_DTYPE,
+    COUNTER_MAX,
     ColumnarElector,
     CounterColumns,
     HistoryIndex,
@@ -167,6 +169,43 @@ class TestCounterColumns:
         index.intern((9, 9, 9, 9, 9, 9, 9, 9, 9, 9))
         columns.ensure_width(index.width)
         assert columns.row_map(0) == {(1,): 2}
+
+
+class TestCounterDtype:
+    """One int32 dtype for every numpy row; counts that do not fit raise."""
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend only")
+    def test_numpy_rows_share_one_int32_dtype(self):
+        import numpy
+
+        assert COUNTER_DTYPE is numpy.int32
+        assert COUNTER_MAX == numpy.iinfo(numpy.int32).max
+        index = HistoryIndex()
+        columns = CounterColumns(2, index, "numpy")
+        columns.set_row_map(0, {(1,): 3})
+        index.intern(tuple(range(40)))
+        columns.ensure_width(index.width)
+        assert columns.data.dtype == COUNTER_DTYPE
+        elector = ColumnarElector(1, index=index, backend="numpy")
+        elector.merge_round([FrozenCounters({(1,): 3})], [(1,)])
+        assert elector._row.dtype == COUNTER_DTYPE
+        adopted = ColumnarElector.adopt(PseudoLeaderElector(1), index, "numpy")
+        assert adopted._row.dtype == COUNTER_DTYPE
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend only")
+    def test_set_row_map_rejects_counts_past_int32(self):
+        columns = CounterColumns(2, HistoryIndex(), "numpy")
+        columns.set_row_map(0, {(1,): 5})
+        with pytest.raises(ValueError, match=str(COUNTER_MAX + 1)):
+            columns.set_row_map(0, {(2,): 1, (3,): COUNTER_MAX + 1})
+        assert columns.row_map(0) == {(1,): 5}
+        columns.set_row_map(1, {(2,): COUNTER_MAX})
+        assert columns.row_map(1) == {(2,): COUNTER_MAX}
+
+    def test_python_rows_keep_64_bit_counts(self):
+        columns = CounterColumns(1, HistoryIndex(), "python")
+        columns.set_row_map(0, {(1,): COUNTER_MAX + 1})
+        assert columns.row_map(0) == {(1,): COUNTER_MAX + 1}
 
 
 @backends

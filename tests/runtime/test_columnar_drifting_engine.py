@@ -21,7 +21,7 @@ import contextlib
 import pytest
 
 from event_queue_oracle import heap_event_core
-from repro.core.columnar import ColumnarElector, numpy_available
+from repro.core.columnar import COUNTER_MAX, ColumnarElector, numpy_available
 from repro.core.history import clear_intern_cache
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.giraf.adversary import (
@@ -129,6 +129,8 @@ def _assert_equivalent(expect_engine=True, **kwargs):
     columnar, columnar_trace = _run("columnar", **kwargs)
     took_engine = columnar._columnar_engine is not None
     assert took_engine == expect_engine
+    assert (columnar.engine_path == "matrix") == expect_engine
+    assert reference.engine_path == "object"
     assert columnar_trace == reference_trace
     assert _final_views(columnar) == _final_views(reference)
 
@@ -263,25 +265,39 @@ class TestTryBuildEligibility:
             **kwargs,
         )
 
+    def _reason(self, kernel):
+        return ColumnarDriftingEngine.decline_reason(kernel, kernel.environment)
+
     def test_builds_for_aggregate_heartbeat(self):
         assert self._build(self._kernel()) is not None
+        assert self._reason(self._kernel()) is None
 
     def test_refuses_full_traces(self):
         assert self._build(self._kernel(trace_mode="full")) is None
+        assert self._reason(self._kernel(trace_mode="full")) == (
+            "trace_mode is not aggregate"
+        )
 
     def test_refuses_payload_stats(self):
         assert self._build(self._kernel(payload_stats=True)) is None
+        assert self._reason(self._kernel(payload_stats=True)) == (
+            "payload statistics requested"
+        )
 
     def test_refuses_foreign_algorithms(self):
         from repro.core.ess_consensus import ESSConsensus
 
         kernel = self._kernel(algorithms=[ESSConsensus(pid) for pid in range(3)])
         assert self._build(kernel) is None
+        assert self._reason(kernel) == (
+            "algorithm ESSConsensus is not a stock heartbeat"
+        )
 
     def test_refuses_advanced_state(self):
         kernel = self._kernel()
         kernel.algorithms[1].elector.append("x")
         assert self._build(kernel) is None
+        assert self._reason(kernel) == "elector past its initial state"
 
     def test_refuses_overridden_latencies(self):
         class Batchy(MovingSourceEnvironment):
@@ -295,6 +311,24 @@ class TestTryBuildEligibility:
             engine="columnar",
         )
         assert self._build(kernel) is None
+        assert self._reason(kernel) == "latency draws overridden"
+
+    def test_refuses_runs_past_int32_counters(self):
+        kernel = self._kernel(max_rounds=COUNTER_MAX)
+        assert self._build(kernel) is None
+        assert self._reason(kernel) == (
+            f"max_rounds {COUNTER_MAX} reaches the int32 counter bound"
+        )
+        scheduler = DriftingScheduler(
+            [HeartbeatPseudoLeader(pid % 2) for pid in range(4)],
+            MovingSourceEnvironment(),
+            max_rounds=COUNTER_MAX,
+            trace_mode="aggregate",
+            engine="columnar",
+        )
+        assert scheduler.engine_path == (
+            f"electors: max_rounds {COUNTER_MAX} reaches the int32 counter bound"
+        )
 
 
 class TestAmortization:

@@ -12,9 +12,12 @@ heartbeat runs) and the per-process columnar-elector fallback (full
 traces, drifting scheduler, injected round hooks, consensus on top).
 """
 
+import dataclasses
+import logging
+
 import pytest
 
-from repro.core.columnar import numpy_available
+from repro.core.columnar import COUNTER_MAX, ColumnarElector, numpy_available
 from repro.core.history import clear_intern_cache
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.giraf.adversary import (
@@ -35,6 +38,7 @@ from repro.giraf.environments import (
     SilentLinks,
 )
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
+from repro.giraf.traces import RunTrace
 from repro.runtime.columnar_engine import ColumnarLockStepEngine
 from repro.runtime.kernel import RuntimeKernel
 from repro.sim.runner import run_ess_consensus
@@ -152,6 +156,31 @@ class TestWholeRoundEngineOptions:
     def test_single_process(self):
         _assert_equivalent(n=1, crashes=None)
 
+    def test_silent_links_draw_no_link_plan_when_lates_drop(self):
+        # Nothing non-obligatory can arrive: no link is timely and every
+        # late is dropped, so the matrix tick never asks for a plan.
+        def link_plans(engine):
+            environment = ENVIRONMENTS["ms-never-delivered"]()
+            policy = environment.link_policy
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return SilentLinks.timely_block(policy, *args)
+
+            policy.timely_block = counted
+            LockStepScheduler(
+                [HeartbeatPseudoLeader(pid % 3) for pid in range(7)],
+                environment,
+                max_rounds=9,
+                trace_mode="aggregate",
+                engine=engine,
+            ).run()
+            return len(calls)
+
+        assert link_plans("object") > 0
+        assert link_plans("columnar") == 0
+
     def test_monobrand(self):
         clear_intern_cache()
         reference = LockStepScheduler(
@@ -213,6 +242,43 @@ class TestFallbackPins:
         assert columnar.metrics == reference.metrics
 
 
+class TestEnginePath:
+    """A run says which engine path it took, and logs a fallback."""
+
+    def _scheduler(self, engine, **kwargs):
+        kwargs.setdefault("trace_mode", "aggregate")
+        return LockStepScheduler(
+            [HeartbeatPseudoLeader(pid % 2) for pid in range(4)],
+            ENVIRONMENTS["ms-silent-const"](),
+            max_rounds=4,
+            engine=engine,
+            **kwargs,
+        )
+
+    def test_object_engine(self):
+        assert self._scheduler("object").engine_path == "object"
+
+    def test_matrix_engine_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.giraf.scheduler"):
+            scheduler = self._scheduler("columnar")
+        assert scheduler.engine_path == "matrix"
+        assert caplog.records == []
+
+    def test_fallback_names_its_reason_in_one_debug_event(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.giraf.scheduler"):
+            scheduler = self._scheduler("columnar", trace_mode="full")
+        assert scheduler.engine_path == "electors: trace_mode is not aggregate"
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.engine_path == scheduler.engine_path
+        assert "trace_mode is not aggregate" in record.getMessage()
+
+    def test_engine_path_stays_off_the_trace(self):
+        assert "engine_path" not in {
+            field.name for field in dataclasses.fields(RunTrace)
+        }
+
+
 class TestTryBuildEligibility:
     def _kernel(self, **kwargs):
         return RuntimeKernel(
@@ -222,12 +288,18 @@ class TestTryBuildEligibility:
             **kwargs,
         )
 
+    def _reason(self, kernel, on_round=None):
+        return ColumnarLockStepEngine.decline_reason(
+            kernel, kernel.environment, on_round=on_round
+        )
+
     def test_builds_for_aggregate_heartbeat(self):
         kernel = self._kernel(trace_mode="aggregate")
         engine = ColumnarLockStepEngine.try_build(
             kernel, kernel.environment, record_snapshots=False, on_round=None
         )
         assert engine is not None
+        assert self._reason(kernel) is None
 
     def test_refuses_full_traces(self):
         kernel = self._kernel(trace_mode="full")
@@ -237,18 +309,23 @@ class TestTryBuildEligibility:
             )
             is None
         )
+        assert self._reason(kernel) == "trace_mode is not aggregate"
 
     def test_refuses_on_round_hook(self):
         kernel = self._kernel(trace_mode="aggregate")
+        def hook(tick):
+            return None
+
         assert (
             ColumnarLockStepEngine.try_build(
                 kernel,
                 kernel.environment,
                 record_snapshots=False,
-                on_round=lambda tick: None,
+                on_round=hook,
             )
             is None
         )
+        assert self._reason(kernel, on_round=hook) == "on_round hook set"
 
     def test_refuses_foreign_algorithms(self):
         from repro.core.ess_consensus import ESSConsensus
@@ -265,6 +342,49 @@ class TestTryBuildEligibility:
             )
             is None
         )
+        assert (
+            self._reason(kernel) == "algorithm ESSConsensus is not a stock heartbeat"
+        )
+
+    def test_refuses_runs_past_int32_counters(self):
+        # A counter grows by at most 1 per round: max_rounds bounds it,
+        # and a bound past int32 sends the run to per-process electors.
+        kernel = self._kernel(trace_mode="aggregate", max_rounds=COUNTER_MAX)
+        assert (
+            ColumnarLockStepEngine.try_build(
+                kernel, kernel.environment, record_snapshots=False, on_round=None
+            )
+            is None
+        )
+        assert self._reason(kernel) == (
+            f"max_rounds {COUNTER_MAX} reaches the int32 counter bound"
+        )
+        assert self._reason(
+            self._kernel(trace_mode="aggregate", max_rounds=COUNTER_MAX - 1)
+        ) is None
+
+    def test_long_run_falls_back_to_electors_pinned(self):
+        def scheduler(engine, max_rounds):
+            clear_intern_cache()
+            return LockStepScheduler(
+                [HeartbeatPseudoLeader(pid % 3) for pid in range(5)],
+                ENVIRONMENTS["ms-bernoulli-uniform"](),
+                max_rounds=max_rounds,
+                trace_mode="aggregate",
+                engine=engine,
+            )
+
+        reference = scheduler("object", 8)
+        reference.run()
+        columnar = scheduler("columnar", COUNTER_MAX)
+        assert columnar.engine_path.startswith("electors: max_rounds")
+        for _ in range(8):
+            columnar.step()
+        assert all(
+            type(proc.algorithm.elector) is ColumnarElector
+            for proc in columnar.processes
+        )
+        assert _final_views(columnar) == _final_views(reference)
 
     def test_unknown_engine_rejected(self):
         from repro.errors import SimulationError
