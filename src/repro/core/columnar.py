@@ -97,14 +97,16 @@ if not os.environ.get("REPRO_NO_NUMPY"):
 
 BACKENDS = ("numpy", "python")
 
-#: Counter storage dtype of every numpy row and matrix (one dtype, so
-#: rows never mix).  32 bits suffice: a counter grows by at most 1 per
-#: round, so it is bounded by the rounds a run executes — the matrix
-#: engines decline runs whose ``max_rounds`` could pass
-#: :data:`COUNTER_MAX`.  The pure-Python backend keeps ``array('q')``.
+#: Storage dtype of the numpy :class:`CounterColumns` matrix, the
+#: whole-run engines' hot path.  32 bits suffice there: a counter grows
+#: by at most 1 per round, so it is bounded by the rounds a run
+#: executes, and the matrix engines decline runs whose ``max_rounds``
+#: could pass :data:`COUNTER_MAX`.  Per-process elector rows and the
+#: map-level twins stay int64 (no bound), and the pure-Python backend
+#: keeps ``array('q')``.
 COUNTER_DTYPE = _np.int32 if _np is not None else None
 
-#: Largest count a numpy counter row holds.
+#: Largest count a numpy :class:`CounterColumns` matrix holds.
 COUNTER_MAX = 2**31 - 1
 
 
@@ -248,7 +250,7 @@ class HistoryIndex:
 
 def _zeros(width: int, backend: str):
     if backend == "numpy":
-        return _np.zeros(width, dtype=COUNTER_DTYPE)
+        return _np.zeros(width, dtype=_np.int64)
     return array("q", bytes(8 * width))
 
 
@@ -261,19 +263,11 @@ def _row_from_map(
     indistinguishable from an absent history under the paper's sparse
     semantics (it can never survive a minimum and never win a prefix
     maximum), which is exactly how the object-path merge treats them.
-    A count past :data:`COUNTER_MAX` cannot be stored in a numpy row
-    and raises :class:`ValueError`.
     """
     row = _zeros(width, backend)
     intern = index.intern
-    numpy = backend == "numpy"
     for history, count in mapping.items():
         if count > 0:
-            if numpy and count > COUNTER_MAX:
-                raise ValueError(
-                    f"counter value {count} does not fit the int32 counter "
-                    f"columns (max {COUNTER_MAX})"
-                )
             row[intern(history)] = count
     return row
 
@@ -479,6 +473,13 @@ class CounterColumns:
         Raises :class:`ValueError` (leaving the row untouched) when a
         count does not fit the numpy backend's :data:`COUNTER_DTYPE`.
         """
+        if self.backend == "numpy":
+            for count in mapping.values():
+                if count > COUNTER_MAX:
+                    raise ValueError(
+                        f"counter value {count} does not fit the int32 "
+                        f"counter columns (max {COUNTER_MAX})"
+                    )
         for history in mapping:
             self.index.intern(history)
         self.ensure_width(self.index.width)

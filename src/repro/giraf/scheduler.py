@@ -74,8 +74,14 @@ def _swap_columnar_electors(processes: Sequence[GirafProcess]) -> None:
 def _fall_back_to_electors(
     scheduler: str, processes: Sequence[GirafProcess], reason: Optional[str]
 ) -> str:
-    """Swap in per-process columnar electors after the matrix engine
-    declined; log the decline and return the run's ``engine_path``."""
+    """Swap in per-process columnar electors after ``try_build``
+    declined; log the decline and return the run's ``engine_path``.
+
+    ``reason`` is the engine's ``decline_reason``, asked only after a
+    decline so a matrix build walks its n processes once; a decline it
+    cannot name is reported as ``"try_build declined"``.
+    """
+    reason = reason or "try_build declined"
     _swap_columnar_electors(processes)
     _logger.debug(
         "%s: columnar matrix engine declined (%s); using per-process electors",

@@ -436,25 +436,22 @@ class ColumnarLockStepEngine:
         oblig, extras = self._pending
         n = self._n
 
-        # Fold the round's messages in.  With every process active the
-        # carry-over and the obligatory minimum are one fused pass;
-        # with crashed rows present every row is carried over first
-        # (crashed rows stay frozen across the double-buffer swap) and
-        # only active rows take the minimum.
+        # Fold the round's messages in: the carry-over and the
+        # obligatory minimum are one fused pass over every row, after
+        # which the (few) crashed rows are restored — they stay frozen
+        # across the double-buffer swap and are read at ``finalize``.
+        # Extras and bumps below touch active rows only.
         cur = Nd[:, :width]
-        all_active = self._active_count == n
-        shared = None
         if oblig:
             if len(oblig) == 1:
                 shared = Cd[oblig[0], :width]
             else:
                 shared = Cd[np.array(oblig), :width].min(axis=0)
-        if all_active and shared is not None:
             np.minimum(Cd[:, :width], shared, out=cur)
+            dead = np.flatnonzero(~active_np)
+            cur[dead] = Cd[dead, :width]
         else:
             cur[...] = Cd[:, :width]
-            if shared is not None:
-                Nd[act, :width] = np.minimum(Cd[act, :width], shared)
         for sender, mask in extras:
             hit = mask & active_np
             if hit.any():
@@ -492,18 +489,15 @@ class ColumnarLockStepEngine:
         for rows, col, values in writes:
             Nd[rows, col] = values
 
-        # Leadership + the pre-append my/max capture, vectorized.  With
-        # every process active the rows are read in place (no gather),
-        # so ``_round_rows`` is a view into the buffer that becomes
-        # ``C`` below.  Its only readers are ``_emit_snapshots`` and
-        # ``_emit_payload_stats`` in this same tick; the next compute
-        # only reads that buffer, and the one after overwrites it.
-        if all_active:
-            sub, own_cols = cur, hist_col
-        else:
-            sub, own_cols = Nd[act, :width], hist_col[act]
-        own = sub[np.arange(len(own_cols)), own_cols]
-        row_max = sub.max(axis=1)
+        # Leadership + the pre-append my/max capture, vectorized and
+        # read in place (no row gather).  ``_round_rows`` is therefore a
+        # view into the buffer that becomes ``C`` below, covering every
+        # row; its only readers are ``_emit_snapshots`` and
+        # ``_emit_payload_stats`` in this same tick (they select the
+        # active rows), and the next compute only reads that buffer —
+        # the one after overwrites it.
+        own = cur[act, hist_col[act]]
+        row_max = cur.max(axis=1)[act]
         leader_now = own >= row_max
         prev = self._leader[act]
         since = self._since[act]
@@ -514,7 +508,7 @@ class ColumnarLockStepEngine:
         self._my[act] = own
         self._mx[act] = row_max
         self._computed[act] = True
-        self._round_rows = sub
+        self._round_rows = cur
         self._round_own = own
         self._round_max = row_max
         self._round_leader = leader_now
@@ -644,7 +638,7 @@ class ColumnarLockStepEngine:
         trace = self._trace
         computing = tick - 1
         if self._numpy:
-            counts = (self._round_rows > 0).sum(axis=1)
+            counts = (self._round_rows > 0).sum(axis=1)[self._active_idx]
             own, row_max = self._round_own, self._round_max
             leader = self._round_leader
             for position, pid in enumerate(fired):
@@ -704,9 +698,9 @@ class ColumnarLockStepEngine:
             hist_atoms = atoms_arr[self._hist_col[self._active_idx]]
             if tick >= 2:
                 width = self._round_width
-                counter_atoms = 1 + (self._round_rows > 0) @ (
+                counter_atoms = 1 + ((self._round_rows > 0) @ (
                     atoms_arr[:width] + 1
-                )
+                ))[self._active_idx]
             else:
                 counter_atoms = np.ones(len(fired), dtype=np.int64)
             send_atoms = 2 + hist_atoms + counter_atoms

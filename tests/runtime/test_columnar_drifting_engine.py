@@ -330,6 +330,19 @@ class TestTryBuildEligibility:
             f"electors: max_rounds {COUNTER_MAX} reaches the int32 counter bound"
         )
 
+    def test_a_declining_try_build_still_names_a_reason(self, monkeypatch):
+        monkeypatch.setattr(
+            ColumnarDriftingEngine, "try_build", classmethod(lambda *a, **k: None)
+        )
+        scheduler = DriftingScheduler(
+            [HeartbeatPseudoLeader(pid % 2) for pid in range(4)],
+            MovingSourceEnvironment(),
+            max_rounds=4,
+            trace_mode="aggregate",
+            engine="columnar",
+        )
+        assert scheduler.engine_path == "electors: try_build declined"
+
 
 class TestAmortization:
     """Warm index reuse + lazy finalize views, checked structurally.

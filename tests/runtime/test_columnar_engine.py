@@ -273,6 +273,17 @@ class TestEnginePath:
         assert record.engine_path == scheduler.engine_path
         assert "trace_mode is not aggregate" in record.getMessage()
 
+    def test_a_declining_try_build_still_names_a_reason(self, monkeypatch):
+        monkeypatch.setattr(
+            ColumnarLockStepEngine, "try_build", classmethod(lambda *a, **k: None)
+        )
+        scheduler = self._scheduler("columnar")
+        assert scheduler.engine_path == "electors: try_build declined"
+        assert all(
+            type(proc.algorithm.elector) is ColumnarElector
+            for proc in scheduler.processes
+        )
+
     def test_engine_path_stays_off_the_trace(self):
         assert "engine_path" not in {
             field.name for field in dataclasses.fields(RunTrace)
